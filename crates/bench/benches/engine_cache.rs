@@ -1,8 +1,8 @@
 //! Criterion bench for the [`RepairEngine`] plan cache: the same exact
-//! count served cold (a fresh engine per run, so every run replans — the
-//! old `RepairCounter` behaviour) vs warm (one shared engine, so every run
-//! after the first hits the plan cache and skips the UCQ rewrite, the
-//! keywidth computation and the certificate enumeration).
+//! count served cold (a fresh engine per run, so every run replans) vs
+//! warm (one shared engine, so every run after the first hits the plan
+//! cache and skips the UCQ rewrite, the keywidth computation and the
+//! certificate enumeration).
 
 use cdr_bench::{uniform_workload, union_workload};
 use cdr_core::{CountRequest, RepairEngine};

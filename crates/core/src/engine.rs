@@ -30,9 +30,6 @@
 //! boxes pin *stable* block slots, which mutations to other relations never
 //! renumber).  The [`RepairEngine::cache_stats`] counters — hits, misses,
 //! evictions, invalidations — make all of this observable.
-//!
-//! The legacy [`crate::RepairCounter`] facade is a thin wrapper over this
-//! engine and is kept only for backwards compatibility.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -864,11 +861,6 @@ impl RepairEngine {
     /// The primary keys in force.
     pub fn keys(&self) -> &KeySet {
         &self.keys
-    }
-
-    /// A shareable handle to the key set.
-    pub fn keys_arc(&self) -> Arc<KeySet> {
-        Arc::clone(&self.keys)
     }
 
     /// The block partition `B₁, …, Bₙ`, maintained incrementally.

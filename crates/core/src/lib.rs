@@ -17,25 +17,21 @@
 //!   certificate/box algorithm that mirrors the paper's "solutions via
 //!   certificate expansion" structure (Section 4.1);
 //! * the **total repair count** `∏ |Bᵢ|` and the **relative frequency** of
-//!   Section 1.1;
+//!   Section 1.1 — [`Semantics::Frequency`], the fraction of repairs that
+//!   entail the query (`1/2` in Example 1.1);
 //! * the **FPRAS** of Theorem 6.2 ([`FprasEstimator`]) and the
 //!   Karp–Luby-style baseline over the "complex" sample space used by the
 //!   probabilistic-database FPRAS of Dalvi–Suciu ([`KarpLubyEstimator`]).
 //!
 //! Lower-level building blocks — certificates, selectors and boxes — are
 //! exposed because the Λ-hierarchy machinery in `cdr-lambda` reuses them.
-//!
-//! The legacy [`RepairCounter`] facade remains as a thin wrapper over the
-//! engine for backwards compatibility.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod certificates;
-mod counter;
 mod decision;
 mod error;
-mod frequency;
 
 /// The owned, cached request/report engine.
 pub mod engine;
@@ -46,14 +42,11 @@ pub mod approx;
 pub mod exact;
 /// The replicated command log: framed records, snapshot files, replay.
 pub mod replog;
-/// The sharded scatter–gather engine.
-pub mod sharded;
 /// The text wire format serving front ends parse into [`EngineCommand`]s.
 pub mod wire;
 
 pub use approx::{ApproxConfig, ApproxCount, FprasEstimator, KarpLubyEstimator};
 pub use certificates::{distinct_boxes, enumerate_certificates, Certificate, SelectorBox};
-pub use counter::{CountOutcome, ExactStrategy, RepairCounter};
 pub use decision::{
     holds_in_some_repair, holds_in_some_repair_fo, holds_in_some_repair_fo_bounded,
     holds_in_some_repair_ucq,
@@ -67,8 +60,6 @@ pub use exact::{
     count_by_boxes, count_by_enumeration, count_union_generic, count_union_of_boxes,
     count_union_of_boxes_with_total, GenericBox,
 };
-pub use frequency::{relative_frequency, relative_frequency_with};
 pub use replog::{LogOp, LogRecord, LogWriter, ReplogError};
-pub use sharded::{ShardGauges, ShardedApplied, ShardedEngine};
 pub use wire::frame::{decode_bulk, encode_bulk, FrameError, BULK_VERSION};
 pub use wire::{parse_count_request, parse_engine_command, parse_mutation, WireError};

@@ -105,7 +105,7 @@ impl Compactor for CqaCompactor {
 mod tests {
     use super::*;
     use crate::compactor::{enumerate_solutions, unfold_count};
-    use cdr_core::{count_by_boxes, count_by_enumeration, RepairCounter};
+    use cdr_core::{count_by_boxes, count_by_enumeration, RepairEngine};
     use cdr_query::{parse_query, rewrite_to_ucq};
     use cdr_repairdb::Schema;
 
@@ -186,12 +186,12 @@ mod tests {
     #[test]
     fn keywidth_bounds_the_pins() {
         let (db, keys) = employee();
-        let counter = RepairCounter::new(&db, &keys);
+        let engine = RepairEngine::new(db.clone(), keys.clone());
         let q = parse_query("EXISTS x, y, z . Employee(1, x, y) AND Employee(2, z, y)").unwrap();
         let ucq = rewrite_to_ucq(&q).unwrap();
         let compactor = CqaCompactor::new(&db, &keys, &ucq).unwrap();
         let k = compactor.pin_bound().unwrap();
-        assert_eq!(k, counter.keywidth(&q));
+        assert_eq!(k, engine.keywidth(&q));
         for c in 0..compactor.certificate_count() {
             if let CompactOutput::Boxed(b) = compactor.compact(c) {
                 assert!(b.len() <= k);

@@ -14,12 +14,13 @@
 //! distinct variables of the same class, in which case it is unsatisfiable
 //! under P-assignments and contributes nothing.
 
-use cdr_core::{count_union_generic, CountError, RepairCounter};
+use cdr_core::{count_union_generic, CountError};
 use cdr_num::BigNat;
 use cdr_query::{parse_query, Query};
 use cdr_repairdb::{Database, KeySet, Schema, Value};
 
 use crate::compactor::{CompactOutput, Compactor, PinBox};
+use crate::reduction::CqaInstance;
 
 /// A positive DNF formula over partitioned variables.
 ///
@@ -241,10 +242,7 @@ impl DisjPosDnf {
     /// reduction (used to validate Theorem 7.1 experimentally).
     pub fn count_via_cqa(&self, budget: u64) -> Result<BigNat, CountError> {
         let (db, keys, query) = self.to_cqa_instance()?;
-        RepairCounter::new(&db, &keys)
-            .with_budget(budget)
-            .count(&query)
-            .map(|o| o.count)
+        CqaInstance { db, keys, query }.count(budget)
     }
 }
 

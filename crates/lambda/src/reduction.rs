@@ -25,7 +25,7 @@
 //! reduction is therefore parsimonious; [`reduce_compactor_to_cqa`] builds
 //! it and the tests check count preservation.
 
-use cdr_core::{CountError, RepairCounter};
+use cdr_core::{CountError, CountRequest, RepairEngine};
 use cdr_num::BigNat;
 use cdr_query::{parse_query, Query};
 use cdr_repairdb::{Database, KeySet, Schema, Value};
@@ -46,10 +46,13 @@ pub struct CqaInstance {
 impl CqaInstance {
     /// Counts the repairs of the instance that entail its query, exactly.
     pub fn count(&self, budget: u64) -> Result<BigNat, CountError> {
-        RepairCounter::new(&self.db, &self.keys)
-            .with_budget(budget)
-            .count(&self.query)
-            .map(|o| o.count)
+        let engine = RepairEngine::new(self.db.clone(), self.keys.clone());
+        let report = engine.run(&CountRequest::exact(self.query.clone()).with_budget(budget))?;
+        Ok(report
+            .answer
+            .as_count()
+            .expect("exact semantics report a count")
+            .clone())
     }
 }
 
@@ -271,8 +274,14 @@ mod tests {
         let q =
             parse_query("Works(0, 'sales') OR (EXISTS x . Works(1, x) AND Works(2, x))").unwrap();
         let ucq = rewrite_to_ucq(&q).unwrap();
-        let original = RepairCounter::new(&db, &keys).count(&q).unwrap().count;
         let compactor = CqaCompactor::new(&db, &keys, &ucq).unwrap();
+        let original = CqaInstance {
+            db: db.clone(),
+            keys: keys.clone(),
+            query: q,
+        }
+        .count(1_000_000)
+        .unwrap();
         assert_eq!(unfold_count(&compactor, 1_000_000).unwrap(), original);
         let instance = reduce_compactor_to_cqa(&compactor).unwrap();
         assert_eq!(instance.count(1_000_000).unwrap(), original);

@@ -34,6 +34,6 @@ pub use dnf_gen::{random_disj_pos_dnf, DnfConfig};
 pub use hypergraph_gen::{random_forbidden_coloring, HypergraphConfig};
 pub use query_gen::{random_join_query, random_point_query_union, QueryGenConfig};
 pub use scenarios::{
-    churn_base, churn_session, conflicting_blocks, employee_example, replication_battery,
-    sensor_readings, serving_session, streaming_sensor_updates, two_source_customers,
+    churn_base, churn_session, employee_example, replication_battery, sensor_readings,
+    serving_session, streaming_sensor_updates, two_source_customers,
 };

@@ -92,7 +92,7 @@ pub fn random_point_query_union(db: &Database, config: &QueryGenConfig) -> Query
 mod tests {
     use super::*;
     use crate::db_gen::{BlockSizeDistribution, InconsistentDbConfig, RelationSpec};
-    use cdr_core::{ExactStrategy, RepairCounter};
+    use cdr_core::{CountRequest, RepairEngine, Strategy};
     use cdr_query::keywidth;
 
     fn generated() -> (Database, KeySet) {
@@ -119,17 +119,21 @@ mod tests {
     #[test]
     fn point_query_unions_are_countable_and_consistent_across_strategies() {
         let (db, keys) = generated();
-        let counter = RepairCounter::new(&db, &keys);
+        let engine = RepairEngine::new(db.clone(), keys);
+        let count = |q: &Query, strategy: Strategy| {
+            let request = CountRequest::exact(q.clone()).with_strategy(strategy);
+            engine
+                .run(&request)
+                .unwrap()
+                .answer
+                .as_count()
+                .unwrap()
+                .clone()
+        };
         for seed in 0..5u64 {
             let q = random_point_query_union(&db, &QueryGenConfig { size: 3, seed });
-            let by_boxes = counter
-                .count_with(&q, ExactStrategy::CertificateBoxes)
-                .unwrap()
-                .count;
-            let by_enum = counter
-                .count_with(&q, ExactStrategy::Enumeration)
-                .unwrap()
-                .count;
+            let by_boxes = count(&q, Strategy::CertificateBoxes);
+            let by_enum = count(&q, Strategy::Enumeration);
             assert_eq!(by_boxes, by_enum, "seed {seed}");
         }
     }

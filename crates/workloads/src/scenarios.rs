@@ -26,32 +26,6 @@ pub fn employee_example() -> (Database, KeySet) {
     (db, keys)
 }
 
-/// `blocks` conflicting `R(key, value)` blocks of `width` facts each,
-/// keyed on the first column: `R(k, 'v0'), …, R(k, 'v{width-1}')` for
-/// every `k < blocks`, so the total repair count is `width^blocks`.
-///
-/// This is the block-count-heavy shape the sharded engine is measured
-/// on (`engine_shards` bench): every block is a conflict, and each
-/// apply's incremental block-product update runs over a number of limbs
-/// proportional to the block count its engine holds — so more blocks
-/// means a bigger per-shard saving when the partition splits them.
-pub fn conflicting_blocks(blocks: usize, width: usize) -> (Database, KeySet) {
-    let mut schema = Schema::new();
-    schema.add_relation("R", 2).expect("fresh schema");
-    let keys = KeySet::builder(&schema)
-        .key("R", 1)
-        .expect("valid key")
-        .build();
-    let mut db = Database::new(schema);
-    for k in 0..blocks {
-        for v in 0..width {
-            db.insert_parsed(&format!("R({k}, 'v{v}')"))
-                .expect("generated facts are valid");
-        }
-    }
-    (db, keys)
-}
-
 /// A two-source data-integration scenario: `customers` customer records
 /// merged from two systems that disagree on city and status for a fraction
 /// of the customers, plus a consistent `Order` relation.
@@ -435,7 +409,7 @@ pub fn replication_battery() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdr_core::RepairCounter;
+    use cdr_core::{CountRequest, RepairEngine};
     use cdr_query::parse_query;
     use cdr_repairdb::BlockPartition;
 
@@ -443,10 +417,11 @@ mod tests {
     fn employee_example_matches_the_paper() {
         let (db, keys) = employee_example();
         assert_eq!(db.len(), 4);
-        let counter = RepairCounter::new(&db, &keys);
-        assert_eq!(counter.total_repairs().to_u64(), Some(4));
+        let engine = RepairEngine::new(db, keys);
+        assert_eq!(engine.total_repairs().to_u64(), Some(4));
         let q = parse_query("EXISTS x, y, z . Employee(1, x, y) AND Employee(2, z, y)").unwrap();
-        assert_eq!(counter.frequency(&q).unwrap().to_string(), "1/2");
+        let report = engine.run(&CountRequest::frequency(q)).unwrap();
+        assert_eq!(report.answer.as_frequency().unwrap().to_string(), "1/2");
     }
 
     #[test]
@@ -457,8 +432,8 @@ mod tests {
         assert_eq!(blocks.len(), 40);
         // Customers 0, 4, 8, 12, 16 are conflicted: 5 blocks of size 2.
         assert_eq!(blocks.conflicting_block_count(), 5);
-        let counter = RepairCounter::new(&db, &keys);
-        assert_eq!(counter.total_repairs().to_u64(), Some(32));
+        let engine = RepairEngine::new(db, keys);
+        assert_eq!(engine.total_repairs().to_u64(), Some(32));
     }
 
     #[test]
@@ -470,8 +445,8 @@ mod tests {
         // blocks of size 3.
         assert_eq!(blocks.conflicting_block_count(), 4);
         assert_eq!(blocks.max_block_size(), 3);
-        let counter = RepairCounter::new(&db, &keys);
-        assert_eq!(counter.total_repairs().to_u64(), Some(81));
+        let engine = RepairEngine::new(db, keys);
+        assert_eq!(engine.total_repairs().to_u64(), Some(81));
     }
 
     #[test]

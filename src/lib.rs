@@ -81,10 +81,9 @@ pub mod prelude {
         parse_count_request, parse_engine_command, parse_mutation, WireError,
     };
     pub use cdr_core::{
-        decode_bulk, encode_bulk, Answer, ApproxConfig, CacheStats, CompactionOutcome,
-        CountOutcome, CountReport, CountRequest, EngineCommand, EngineResponse, ExactStrategy,
-        FprasEstimator, FrameError, KarpLubyEstimator, MutationReport, RepairCounter, RepairEngine,
-        Semantics, ShardGauges, ShardedApplied, ShardedEngine, Strategy,
+        decode_bulk, encode_bulk, Answer, ApproxConfig, CacheStats, CompactionOutcome, CountReport,
+        CountRequest, EngineCommand, EngineResponse, FprasEstimator, FrameError, KarpLubyEstimator,
+        MutationReport, RepairEngine, Semantics, Strategy,
     };
     pub use cdr_num::{BigNat, LogNum, Ratio};
     pub use cdr_query::{parse_query, Query, UcqQuery};

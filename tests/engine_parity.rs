@@ -1,24 +1,22 @@
 //! Parity suite for the [`RepairEngine`]: every report the engine produces
 //! must agree with the direct, cache-free algorithm entry points
-//! (`count_by_enumeration`, `FprasEstimator`), and every public method of
-//! the legacy [`RepairCounter`] facade must be expressible as exactly one
-//! [`CountRequest`]. Checked on the named scenarios and, property-style,
-//! on random `db_gen`/`query_gen` instances.
+//! (`count_by_enumeration`, `FprasEstimator`, `keywidth`). Checked on the
+//! named scenarios and, property-style, on random `db_gen`/`query_gen`
+//! instances.
 
 use proptest::prelude::*;
 use repair_count::counting::{count_by_enumeration, FprasEstimator, Strategy as EngineStrategy};
 use repair_count::prelude::*;
-use repair_count::query::rewrite_to_ucq;
+use repair_count::query::{keywidth, rewrite_to_ucq};
 use repair_count::workloads::{
     employee_example, random_join_query, random_point_query_union, two_source_customers,
     BlockSizeDistribution, InconsistentDbConfig, QueryGenConfig, RelationSpec,
 };
 
 /// Asserts that every engine semantics agrees with the direct algorithms
-/// and with the legacy facade on one (database, keys, query) instance.
+/// on one (database, keys, query) instance.
 fn assert_engine_parity(db: &Database, keys: &KeySet, q: &Query) {
     let engine = RepairEngine::new(db.clone(), keys.clone());
-    let counter = RepairCounter::new(db, keys);
 
     // Exact count vs the direct enumeration machine.
     let direct = count_by_enumeration(db, keys, q, u64::MAX).unwrap();
@@ -31,36 +29,22 @@ fn assert_engine_parity(db: &Database, keys: &KeySet, q: &Query) {
         .clone();
     assert_eq!(engine_count, direct, "engine vs enumeration for {q}");
 
-    // RepairCounter::count == CountRequest::exact.
-    assert_eq!(
-        counter.count(q).unwrap().count,
-        engine_count,
-        "facade count for {q}"
-    );
-
-    // RepairCounter::count_with == CountRequest::exact + with_strategy.
-    for (facade, engine_strategy) in [
-        (ExactStrategy::Enumeration, EngineStrategy::Enumeration),
-        (
-            ExactStrategy::CertificateBoxes,
-            EngineStrategy::CertificateBoxes,
-        ),
+    // Each forced exact strategy vs the same enumeration.
+    for strategy in [
+        EngineStrategy::Enumeration,
+        EngineStrategy::CertificateBoxes,
     ] {
-        let via_facade = counter.count_with(q, facade).unwrap().count;
         let via_engine = engine
-            .run(&CountRequest::exact(q.clone()).with_strategy(engine_strategy))
+            .run(&CountRequest::exact(q.clone()).with_strategy(strategy))
             .unwrap()
             .answer
             .as_count()
             .unwrap()
             .clone();
-        assert_eq!(via_facade, via_engine, "strategy {facade:?} for {q}");
+        assert_eq!(via_engine, direct, "strategy {strategy:?} for {q}");
     }
 
-    // RepairCounter::total_repairs == the engine's precomputed total.
-    assert_eq!(counter.total_repairs(), *engine.total_repairs());
-
-    // RepairCounter::frequency == CountRequest::frequency.
+    // Frequency is the direct count over the precomputed total.
     let engine_freq = engine
         .run(&CountRequest::frequency(q.clone()))
         .unwrap()
@@ -69,48 +53,36 @@ fn assert_engine_parity(db: &Database, keys: &KeySet, q: &Query) {
         .unwrap()
         .clone();
     assert_eq!(
-        counter.frequency(q).unwrap(),
-        engine_freq,
-        "frequency for {q}"
-    );
-    assert_eq!(
         engine_freq,
         Ratio::new(direct.clone(), engine.total_repairs().clone())
     );
 
-    // RepairCounter::holds_in_some_repair == CountRequest::decision.
+    // Decision and certain answers vs the direct count.
     let engine_some = engine
         .run(&CountRequest::decision(q.clone()))
         .unwrap()
         .answer
         .as_bool()
         .unwrap();
-    assert_eq!(counter.holds_in_some_repair(q).unwrap(), engine_some);
     assert_eq!(engine_some, !direct.is_zero(), "decision vs count for {q}");
 
-    // RepairCounter::holds_in_every_repair == CountRequest::certain_answer.
     let engine_every = engine
         .run(&CountRequest::certain_answer(q.clone()))
         .unwrap()
         .answer
         .as_bool()
         .unwrap();
-    assert_eq!(counter.holds_in_every_repair(q).unwrap(), engine_every);
     assert_eq!(
         engine_every,
         direct == *engine.total_repairs(),
         "certain answer vs count for {q}"
     );
 
-    // RepairCounter::keywidth / disjunct_keywidth == the engine's.
-    assert_eq!(counter.keywidth(q), engine.keywidth(q));
-    assert_eq!(
-        counter.disjunct_keywidth(q).unwrap(),
-        engine.disjunct_keywidth(q).unwrap()
-    );
+    // The cached keywidth vs the direct computation.
+    assert_eq!(engine.keywidth(q), keywidth(q, db.schema(), keys));
 
-    // RepairCounter::approximate == CountRequest::approximate; both must
-    // match a directly-constructed FprasEstimator with the same seed.
+    // CountRequest::approximate must match a directly-constructed
+    // FprasEstimator with the same seed.
     let config = ApproxConfig {
         epsilon: 0.2,
         delta: 0.05,
@@ -132,14 +104,9 @@ fn assert_engine_parity(db: &Database, keys: &KeySet, q: &Query) {
         .as_estimate()
         .unwrap()
         .clone();
-    let facade_estimate = counter.approximate(q, &config).unwrap();
     assert_eq!(
         engine_estimate.estimate, direct_estimate.estimate,
         "engine vs direct FPRAS for {q}"
-    );
-    assert_eq!(
-        facade_estimate.estimate, direct_estimate.estimate,
-        "facade vs direct FPRAS for {q}"
     );
     assert_eq!(engine_estimate.samples_used, direct_estimate.samples_used);
 }
@@ -198,8 +165,8 @@ fn cache_hits_skip_replanning_but_preserve_answers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property: engine reports agree with the direct algorithms and the
-    /// legacy facade on random databases and point-query unions.
+    /// Property: engine reports agree with the direct algorithms on random
+    /// databases and point-query unions.
     #[test]
     fn prop_engine_parity_on_point_unions(seed in 0u64..1000, blocks in 2usize..5, size in 1usize..4) {
         let (db, keys) = InconsistentDbConfig {

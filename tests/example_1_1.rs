@@ -132,15 +132,61 @@ fn keywidth_of_the_example_query_is_two() {
     assert!(ucq.has_self_join());
 }
 
+/// Section 1.1's relative frequency, asked of the engine directly.
+fn frequency(engine: &RepairEngine, text: &str) -> Ratio {
+    let request = CountRequest::frequency(parse_query(text).unwrap());
+    engine
+        .run(&request)
+        .unwrap()
+        .answer
+        .as_frequency()
+        .unwrap()
+        .clone()
+}
+
 #[test]
-fn the_deprecated_facade_still_reproduces_the_example() {
-    let (db, keys) = employee_example();
-    let counter = RepairCounter::new(&db, &keys);
-    let q = query();
-    assert_eq!(counter.total_repairs().to_u64(), Some(4));
-    assert_eq!(counter.count(&q).unwrap().count.to_u64(), Some(2));
-    assert_eq!(counter.frequency(&q).unwrap().to_string(), "1/2");
-    assert_eq!(counter.keywidth(&q), 2);
-    assert!(counter.holds_in_some_repair(&q).unwrap());
-    assert!(!counter.holds_in_every_repair(&q).unwrap());
+fn frequencies_follow_section_1_1() {
+    let engine = engine();
+    let half = frequency(
+        &engine,
+        "EXISTS x, y, z . Employee(1, x, y) AND Employee(2, z, y)",
+    );
+    assert_eq!(half.to_string(), "1/2");
+    assert!((half.to_f64() - 0.5).abs() < 1e-12);
+    // A certain query holds in every repair, an impossible one in none.
+    assert!(frequency(&engine, "EXISTS n . Employee(2, n, 'IT')").is_one());
+    assert!(frequency(&engine, "EXISTS n, d . Employee(3, n, d)").is_zero());
+    // A first-order query (negation) goes through the enumeration path.
+    let negated = frequency(&engine, "NOT EXISTS i, n . Employee(i, n, 'HR')");
+    assert_eq!(negated.to_string(), "1/2");
+
+    // Every exact strategy agrees, and a budget of one repair makes
+    // enumeration refuse rather than answer.
+    for strategy in [
+        EngineStrategy::Auto,
+        EngineStrategy::Enumeration,
+        EngineStrategy::CertificateBoxes,
+    ] {
+        let request = CountRequest::frequency(query())
+            .with_strategy(strategy)
+            .with_budget(1_000_000);
+        let report = engine.run(&request).unwrap();
+        assert_eq!(report.answer.as_frequency().unwrap().to_string(), "1/2");
+    }
+    let starved = CountRequest::frequency(query())
+        .with_strategy(EngineStrategy::Enumeration)
+        .with_budget(1);
+    assert!(engine.run(&starved).is_err());
+}
+
+#[test]
+fn a_consistent_database_has_frequency_zero_or_one() {
+    let mut schema = Schema::new();
+    schema.add_relation("R", 2).unwrap();
+    let keys = KeySet::builder(&schema).key("R", 1).unwrap().build();
+    let mut db = Database::new(schema);
+    db.insert_parsed("R(1, 'a')").unwrap();
+    let engine = RepairEngine::new(db, keys);
+    assert!(frequency(&engine, "R(1, 'a')").is_one());
+    assert!(frequency(&engine, "R(1, 'b')").is_zero());
 }
