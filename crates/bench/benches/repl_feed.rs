@@ -1,24 +1,19 @@
-//! Criterion bench for the replication feed codecs: a follower
-//! catch-up over textual `REPL RECORD <hex>` lines versus framed binary
-//! record batches (one CRC per batch instead of one checksummed hex
-//! line per record), at 4k- and 64k-record log suffixes, plus a
-//! snapshot bootstrap decoded from hex chunk lines versus binary
-//! frames.  The wire-byte footprint of both encodings is printed
-//! alongside, since the feed's win is bytes as much as cycles.
+//! Criterion bench for the replication feed codec: a follower catch-up
+//! over framed record batches (one CRC per batch) at 4k- and 64k-record
+//! log suffixes, plus a snapshot bootstrap reassembled from binary chunk
+//! frames.  The wire-byte footprint is printed alongside, since the
+//! feed's cost is bytes as much as cycles.
 //!
-//! The catch-up arms cover exactly the layers the encodings differ in —
-//! rendering the stored payloads onto the wire and getting verified
-//! payload bytes back off it.  `LogRecord` decoding and engine apply
-//! are byte-identical on both feeds (the parity suite's invariant), are
-//! benchmarked in `replog/record`, and would otherwise just dilute the
-//! comparison; the `apply` group times that shared tail here too, so
-//! the end-to-end picture stays one file away.
+//! The catch-up arm covers the feed's own layers — rendering the stored
+//! payloads onto the wire and getting verified payload bytes back off
+//! it.  `LogRecord` decoding is benchmarked in `replog/record`; the
+//! `apply` group times it here too, so the end-to-end picture stays one
+//! file away.
 
 use std::time::Duration;
 
 use cdr_core::replog::{
-    chunk_header, decode_record_batch, encode_record_batch, frame, from_hex, to_hex,
-    unwrap_checksummed, verify_chunk, wrap_checksummed, LogOp, LogRecord,
+    chunk_header, decode_record_batch, encode_record_batch, frame, verify_chunk, LogOp, LogRecord,
 };
 use cdr_repairdb::{Database, FactId, KeySet, Mutation, Schema, Snapshot};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,10 +21,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 /// Records per `REPL FETCH` round trip (the tailer's default batch).
 const FETCH: usize = 64;
 
-/// Bytes of snapshot per textual `REPL CHUNK` line.
-const HEX_CHUNK: usize = 8192;
-
-/// Bytes of snapshot per binary chunk frame.
+/// Bytes of snapshot per chunk frame.
 const BIN_CHUNK: usize = 64 * 1024;
 
 fn feed_schema() -> (Database, KeySet) {
@@ -66,32 +58,23 @@ fn suffix_payloads(db: &Database, n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Wire bytes an `n`-record catch-up costs per encoding: reply headers
-/// plus hex record lines, versus reply headers plus batch frames.
-fn wire_footprint(payloads: &[Vec<u8>]) -> (u64, u64) {
-    let (mut text, mut bin) = (0u64, 0u64);
-    for batch in payloads.chunks(FETCH) {
-        let header = format!(
-            "OK REPL RECORDS n={} next={} end={}\n",
-            batch.len(),
-            payloads.len(),
-            payloads.len()
-        );
-        text += header.len() as u64;
-        for payload in batch {
-            text += "REPL RECORD \n".len() as u64 + to_hex(&wrap_checksummed(payload)).len() as u64;
-        }
-        let encoded = encode_record_batch(batch);
-        let header = format!(
-            "OK REPL BATCH {} n={} next={} end={}\n",
-            encoded.len(),
-            batch.len(),
-            payloads.len(),
-            payloads.len()
-        );
-        bin += header.len() as u64 + encoded.len() as u64;
-    }
-    (text, bin)
+/// Wire bytes an `n`-record catch-up costs: reply headers plus batch
+/// frames.
+fn wire_footprint(payloads: &[Vec<u8>]) -> u64 {
+    payloads
+        .chunks(FETCH)
+        .map(|batch| {
+            let encoded = encode_record_batch(batch);
+            let header = format!(
+                "OK REPL BATCH {} n={} next={} end={}\n",
+                encoded.len(),
+                batch.len(),
+                payloads.len(),
+                payloads.len()
+            );
+            (header.len() + encoded.len()) as u64
+        })
+        .sum()
 }
 
 fn bench_catchup(c: &mut Criterion) {
@@ -103,61 +86,15 @@ fn bench_catchup(c: &mut Criterion) {
 
     for suffix in [4_096usize, 65_536] {
         let payloads = suffix_payloads(&db, suffix);
-        let (text, bin) = wire_footprint(&payloads);
         println!(
-            "repl_feed: suffix={suffix} wire bytes text={text} bin={bin} ratio={:.2}x",
-            text as f64 / bin as f64
+            "repl_feed: suffix={suffix} wire bytes bin={}",
+            wire_footprint(&payloads)
         );
 
-        // Textual leg, both ends of the wire as the server and tailer
-        // really run them: the primary checksums and hex-encodes each
-        // record into its own `REPL RECORD` line (an owned `String` per
-        // line — the reply the session hands the event loop) and
-        // flattens the reply onto the wire; the follower materialises
-        // each line as an owned `String` (what `read_line` hands back)
-        // and reverses all three layers per record to recover verified
-        // payload bytes.
-        group.bench_function(BenchmarkId::new("text", suffix), |b| {
-            b.iter(|| {
-                let mut shipped = 0usize;
-                for (i, batch) in payloads.chunks(FETCH).enumerate() {
-                    // Serve: render the reply, then flatten it.
-                    let mut lines = vec![format!(
-                        "OK REPL RECORDS n={} next={} end={}",
-                        batch.len(),
-                        (i + 1) * FETCH,
-                        payloads.len()
-                    )];
-                    for payload in batch {
-                        lines.push(format!(
-                            "REPL RECORD {}",
-                            to_hex(&wrap_checksummed(payload))
-                        ));
-                    }
-                    let mut wire = Vec::new();
-                    for line in &lines {
-                        wire.extend_from_slice(line.as_bytes());
-                        wire.push(b'\n');
-                    }
-                    // Tail: one owned line at a time.
-                    for raw in wire.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
-                        let line = String::from_utf8_lossy(raw).into_owned();
-                        let Some(hex) = line.strip_prefix("REPL RECORD ") else {
-                            continue; // the header line
-                        };
-                        let bytes = from_hex(hex).expect("own hex");
-                        let payload = unwrap_checksummed(&bytes).expect("own checksum");
-                        shipped += payload.len();
-                    }
-                }
-                shipped
-            })
-        });
-
-        // Binary leg: the primary frames each batch once (one CRC over
-        // the lot) behind one header line; the follower parses the
-        // header, slices the announced frame off the wire, and takes
-        // the verified payloads straight out of it.
+        // The primary frames each batch once (one CRC over the lot)
+        // behind one header line; the follower parses the header,
+        // slices the announced frame off the wire, and takes the
+        // verified payloads straight out of it.
         group.bench_function(BenchmarkId::new("bin", suffix), |b| {
             b.iter(|| {
                 let mut shipped = 0usize;
@@ -193,8 +130,8 @@ fn bench_catchup(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shared tail both feeds pay after the codec: decoding each
-/// verified payload into a `LogRecord` ready for engine apply.
+/// The tail the follower pays after the codec: decoding each verified
+/// payload into a `LogRecord` ready for engine apply.
 fn bench_apply(c: &mut Criterion) {
     let mut group = c.benchmark_group("repl_feed/apply");
     group.sample_size(10);
@@ -238,26 +175,15 @@ fn bench_bootstrap(c: &mut Criterion) {
     let bytes = snapshot.encode().expect("dense images encode");
     let facts = 100_000usize;
 
-    // Pre-render both served forms: the bench times the follower's side
+    // Pre-render the served chunks: the bench times the follower's side
     // of the bootstrap — reassembling and decoding the image.
-    let hex_chunks: Vec<String> = bytes.chunks(HEX_CHUNK).map(to_hex).collect();
     let bin_chunks: Vec<Vec<u8>> = bytes.chunks(BIN_CHUNK).map(frame).collect();
     println!(
-        "repl_feed: bootstrap={} bytes, wire text={} bin={}",
+        "repl_feed: bootstrap={} bytes, wire bin={}",
         bytes.len(),
-        hex_chunks.iter().map(|c| c.len() + 12).sum::<usize>(),
         bin_chunks.iter().map(Vec::len).sum::<usize>()
     );
 
-    group.bench_function(BenchmarkId::new("text", facts), |b| {
-        b.iter(|| {
-            let mut image = Vec::with_capacity(bytes.len());
-            for chunk in &hex_chunks {
-                image.extend_from_slice(&from_hex(chunk).expect("own hex"));
-            }
-            Snapshot::decode(&image).expect("own image")
-        })
-    });
     group.bench_function(BenchmarkId::new("bin", facts), |b| {
         b.iter(|| {
             let mut image = Vec::with_capacity(bytes.len());

@@ -264,32 +264,6 @@ pub fn split_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
     }
 }
 
-/// Verifies and strips one framed payload (the hex-decoded body of a
-/// `REPL RECORD` line): `[crc32 ‖ payload]`, without the length prefix —
-/// the line protocol already delimits it.
-pub fn unwrap_checksummed(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
-    if bytes.len() < 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    let crc = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-    let payload = &bytes[4..];
-    if crc32(payload) != crc {
-        return Err(SnapshotError::Corrupt(
-            "record checksum mismatch".to_string(),
-        ));
-    }
-    Ok(payload)
-}
-
-/// Prepends the crc to a payload — the wire-framing dual of
-/// [`unwrap_checksummed`].
-pub fn wrap_checksummed(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len());
-    write_u32(&mut out, crc32(payload));
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Codec version byte every binary record batch opens with.
 pub const BATCH_VERSION: u8 = 1;
 
@@ -304,8 +278,7 @@ pub const BATCH_VERSION: u8 = 1;
 ///
 /// The frame's byte length travels in the `OK REPL BATCH <len> …` header
 /// line (exactly like `BULK <len>`), so no outer length prefix is needed.
-/// One checksum covers the whole batch — the per-record CRC of the hex
-/// feed (`wrap_checksummed`) is what this codec amortises away.
+/// One checksum covers the whole batch.
 pub fn encode_record_batch(payloads: &[Vec<u8>]) -> Vec<u8> {
     let total: usize = payloads.iter().map(|p| p.len() + 2).sum();
     let mut payload = Vec::with_capacity(8 + total);
@@ -364,7 +337,7 @@ pub fn decode_record_batch(frame: &[u8]) -> Result<Vec<Vec<u8>>, FrameError> {
 
 /// Parses the 8-byte binary snapshot-chunk header
 /// `[len: u32le ‖ crc32: u32le]` — the same frame layout as the on-disk
-/// log ([`frame`]), streamed raw instead of hex-lined.
+/// log ([`frame`]), streamed raw behind the `OK REPL SNAPSHOT` header.
 pub fn chunk_header(bytes: &[u8]) -> Result<(usize, u32), FrameError> {
     if bytes.len() < 8 {
         return Err(FrameError::Truncated);
@@ -385,35 +358,6 @@ pub fn verify_chunk(crc: u32, payload: &[u8]) -> Result<(), FrameError> {
         });
     }
     Ok(())
-}
-
-/// Lower-case hex encoding — how binary snapshot chunks and log records
-/// travel inside the text line protocol.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        out.push(char::from_digit((b & 0xF) as u32, 16).expect("nibble"));
-    }
-    out
-}
-
-/// Decodes lower- or upper-case hex (the inverse of [`to_hex`]).
-pub fn from_hex(text: &str) -> Result<Vec<u8>, SnapshotError> {
-    let text = text.trim();
-    if !text.len().is_multiple_of(2) {
-        return Err(SnapshotError::Corrupt("odd-length hex".to_string()));
-    }
-    let nibble = |c: char| {
-        c.to_digit(16)
-            .ok_or_else(|| SnapshotError::Corrupt(format!("`{c}` is not a hex digit")))
-    };
-    let mut out = Vec::with_capacity(text.len() / 2);
-    let mut chars = text.chars();
-    while let (Some(hi), Some(lo)) = (chars.next(), chars.next()) {
-        out.push(((nibble(hi)? as u8) << 4) | nibble(lo)? as u8);
-    }
-    Ok(out)
 }
 
 /// An append handle on the on-disk command log.
@@ -687,18 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_checksumming_round_trips_and_detects_flips() {
-        let payload = records()[0].encode();
-        let wrapped = wrap_checksummed(&payload);
-        assert_eq!(unwrap_checksummed(&wrapped).unwrap(), &payload[..]);
-        let mut bad = wrapped.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 1;
-        assert!(unwrap_checksummed(&bad).is_err());
-        assert!(unwrap_checksummed(&wrapped[..3]).is_err());
-    }
-
-    #[test]
     fn record_batches_round_trip_and_reject_defects() {
         let payloads: Vec<Vec<u8>> = records().iter().map(LogRecord::encode).collect();
         let frame = encode_record_batch(&payloads);
@@ -779,58 +711,6 @@ mod tests {
             Err(FrameError::Checksum { .. })
         ));
         assert_eq!(chunk_header(&framed[..7]), Err(FrameError::Truncated));
-    }
-
-    #[test]
-    fn the_binary_batch_is_at_least_three_times_smaller_than_hex_lines() {
-        // The wire-bytes half of the repl_feed acceptance target, pinned
-        // as a unit test: the textual feed ships one
-        // `REPL RECORD <hex(crc ‖ payload)>\n` line per record (2× hex
-        // blowup + 4-byte CRC each), the binary feed one shared frame.
-        // The suffix mirrors the replication-parity churn trace: three
-        // short-string inserts to one delete.
-        let schema = schema();
-        let db = Database::new(schema);
-        let fact = |i: u64| {
-            db.parse_fact(&format!("Event({}, 'p{i}')", i % 16))
-                .unwrap()
-        };
-        let payloads: Vec<Vec<u8>> = (0..4096)
-            .map(|i| {
-                let op = if i % 4 == 3 {
-                    LogOp::Mutation(Mutation::Delete(FactId::new((i % 48) as usize)))
-                } else {
-                    LogOp::Mutation(Mutation::Insert(fact(i)))
-                };
-                LogRecord {
-                    epoch: 1,
-                    offset: i,
-                    op,
-                }
-                .encode()
-            })
-            .collect();
-        let textual: usize = payloads
-            .iter()
-            .map(|p| "REPL RECORD \n".len() + to_hex(&wrap_checksummed(p)).len())
-            .sum();
-        let binary = encode_record_batch(&payloads).len();
-        assert!(
-            textual >= 3 * binary,
-            "textual feed is {textual} bytes, binary batch {binary} — ratio {:.2}× < 3×",
-            textual as f64 / binary as f64
-        );
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_malformed_text() {
-        let bytes: Vec<u8> = (0u8..=255).collect();
-        let hex = to_hex(&bytes);
-        assert_eq!(from_hex(&hex).unwrap(), bytes);
-        assert_eq!(from_hex(&hex.to_uppercase()).unwrap(), bytes);
-        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
-        assert!(from_hex("abc").is_err());
-        assert!(from_hex("zz").is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::process::exit;
 
 use cdr_core::RepairEngine;
 use cdr_repairdb::{Database, KeySet, Schema};
-use cdr_server::{FeedMode, ReplicatedBackend, Server, ServerConfig};
+use cdr_server::{ReplicatedBackend, Server, ServerConfig};
 use cdr_workloads::{
     churn_base, employee_example, sensor_readings, serving_session, two_source_customers,
 };
@@ -54,10 +54,6 @@ REPLICATION OPTIONS:
                           answer reads byte-identically; mutations answer
                           `ERR READONLY …` until PROMOTE; RETARGET
                           repoints the tailer at a newly promoted primary
-  --feed <mode>           follower feed encoding: auto (binary when the
-                          upstream advertises caps=bin, the default),
-                          bin (require the binary feed), or text (force
-                          the hex line fallback)
   --fetch-batch <n>       records per tailer FETCH round trip
                           (default 64, capped at 256)
 
@@ -88,7 +84,6 @@ struct Options {
     config: ServerConfig,
     log_dir: Option<String>,
     follow: Option<String>,
-    feed: FeedMode,
     fetch_batch: u64,
     parallelism: usize,
     cache_cap: Option<usize>,
@@ -109,7 +104,6 @@ impl Default for Options {
             config: ServerConfig::bind("127.0.0.1:7878"),
             log_dir: None,
             follow: None,
-            feed: FeedMode::Auto,
             fetch_batch: 64,
             parallelism: 1,
             cache_cap: None,
@@ -150,7 +144,6 @@ fn parse_options() -> Options {
             "--rate-limit" => options.config.rate_limit = Some(parse(&flag, &value("count"))),
             "--log-dir" => options.log_dir = Some(value("dir")),
             "--follow" => options.follow = Some(value("host:port")),
-            "--feed" => options.feed = parse(&flag, &value("auto|bin|text")),
             "--fetch-batch" => options.fetch_batch = parse(&flag, &value("count")),
             "--chaos" => options.config.chaos = true,
             "--parallelism" => options.parallelism = parse(&flag, &value("count")),
@@ -242,7 +235,6 @@ fn main() {
         let backend = match ReplicatedBackend::follower_with(
             &upstream,
             options.config.auto_compact,
-            options.feed,
             options.fetch_batch,
             tune,
         ) {

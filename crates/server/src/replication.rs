@@ -15,26 +15,21 @@
 //! The protocol is pull-based and rides the existing line protocol:
 //!
 //! ```text
-//! REPL HELLO                 -> OK REPL HELLO epoch=E base=B end=N snap=S … caps=bin
+//! REPL HELLO                 -> OK REPL HELLO epoch=E base=B end=N snap=S role=R compact=C
 //! REPL SNAPSHOT              -> OK REPL SNAPSHOT epoch=E offset=S bytes=B chunks=K
-//!                               REPL CHUNK <hex>          (x K)
-//! REPL SNAPSHOT BIN          -> OK REPL SNAPSHOT BIN epoch=E offset=S bytes=B chunks=K
 //!                               [len ‖ crc32 ‖ payload]   (x K, raw bytes)
-//! REPL FETCH <from> <max>    -> OK REPL RECORDS n=N next=F end=E
-//!                               REPL RECORD <hex(crc32||payload)>   (x N)
-//! REPL FETCH <from> <max> BIN-> OK REPL BATCH <len> n=N next=F end=E
+//! REPL FETCH <from> <max>    -> OK REPL BATCH <len> n=N next=F end=E
 //!                               <len raw bytes>           (one batch frame)
 //! PROMOTE [FORCE]            -> OK PROMOTED epoch=E end=N   (follower, behind AUTH)
 //! ```
 //!
-//! The binary forms are negotiated: `REPL HELLO` advertises `caps=bin`,
-//! and a follower started with the default `--feed auto` uses them when
-//! the upstream does — the textual hex forms stay as the compatibility
-//! fallback (`--feed text` forces them).  A binary batch is strict
-//! all-or-nothing, mirroring `BULK`: any defect — flipped byte, bad
-//! CRC, truncation, an oversize header — rejects the whole frame with
-//! one `ERR REPL FRAME <reason>` and zero records applied, and the
-//! tailer degrades to its usual drop-the-connection-and-retry backoff.
+//! A batch is strict all-or-nothing, mirroring `BULK`: any defect —
+//! flipped byte, bad CRC, truncation, an oversize header — rejects the
+//! whole frame with one `ERR REPL FRAME <reason>` and zero records
+//! applied, and the tailer degrades to its usual
+//! drop-the-connection-and-retry backoff.  A defective snapshot degrades
+//! the same way; a chunk header over the frame cap, or one that would
+//! overrun the announced `bytes=`, is refused before its body is read.
 //! The tailer also double-buffers the feed: while one batch applies
 //! under the engine write guard, the next `FETCH` is already in flight,
 //! so catch-up throughput is bounded by apply cost, not RTT × records.
@@ -50,10 +45,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, RwLock};
 
 use cdr_core::replog::{
-    apply_record, chunk_header, decode_record_batch, encode_record_batch, field, frame, from_hex,
-    hello_request, open_log, parse_compact_token, read_snapshot_file, survivors_of, to_hex,
-    unwrap_checksummed, verify_chunk, wrap_checksummed, write_snapshot_file, LogOp, LogRecord,
-    ReplogError, LOG_FILE,
+    apply_record, chunk_header, decode_record_batch, encode_record_batch, frame, hello_request,
+    open_log, parse_compact_token, read_snapshot_file, survivors_of, verify_chunk,
+    write_snapshot_file, LogOp, LogRecord, ReplogError, LOG_FILE,
 };
 use cdr_core::{CompactionOutcome, RepairEngine};
 use cdr_num::BigNat;
@@ -63,14 +57,8 @@ use crate::backend::apply_single;
 use crate::client::Client;
 use crate::reply;
 
-/// Bytes of snapshot per `REPL CHUNK` line (16 KiB of hex on the wire,
-/// comfortably under the default line cap).
-const SNAPSHOT_CHUNK_BYTES: usize = 8192;
-
-/// Bytes of snapshot per binary chunk (`REPL SNAPSHOT BIN`).  Raw bytes
-/// are not line-capped, so binary chunks are 8× the hex ones — fewer
-/// framing round-trips on the bootstrap path.
-const SNAPSHOT_BIN_CHUNK_BYTES: usize = 64 * 1024;
+/// Bytes of snapshot per `REPL SNAPSHOT` chunk frame.
+const SNAPSHOT_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Most records one `REPL FETCH` answers, whatever the client asked for.
 const MAX_FETCH_RECORDS: u64 = 256;
@@ -136,43 +124,18 @@ impl Role {
     }
 }
 
-/// How a follower's feed travels: the negotiated default, or forced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FeedMode {
-    /// Binary when the upstream advertises `caps=bin`, textual otherwise.
-    Auto,
-    /// Binary batches and snapshot chunks, refusing an upstream that
-    /// does not advertise the capability.
-    Bin,
-    /// The textual hex fallback, whatever the upstream advertises.
-    Text,
-}
-
-impl std::str::FromStr for FeedMode {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<FeedMode, String> {
-        match text {
-            "auto" => Ok(FeedMode::Auto),
-            "bin" => Ok(FeedMode::Bin),
-            "text" => Ok(FeedMode::Text),
-            other => Err(format!("`{other}` is not auto, bin or text")),
-        }
-    }
-}
-
-/// One `REPL …` reply: the header/continuation lines, plus the raw
-/// binary bytes (a record batch or snapshot chunks) that follow the
-/// last line on the wire.  `raw` is empty for every textual form.
+/// One `REPL …` reply: the header line, plus the raw binary bytes (a
+/// record batch or snapshot chunks) that follow it on the wire.  `raw`
+/// is empty for `HELLO` and every error.
 pub struct ReplReply {
     /// The reply lines, in order.
     pub lines: Vec<String>,
-    /// Raw bytes streamed after the last line (binary forms only).
+    /// Raw bytes streamed after the last line (`FETCH` and `SNAPSHOT`).
     pub raw: Vec<u8>,
 }
 
 impl ReplReply {
-    /// A lines-only reply (the textual forms and every error).
+    /// A lines-only reply (`HELLO` and every error).
     pub fn text(lines: Vec<String>) -> ReplReply {
         ReplReply {
             lines,
@@ -181,25 +144,16 @@ impl ReplReply {
     }
 }
 
-/// Renders a binary-feed defect exactly as the follower reports it:
+/// Renders a feed defect exactly as the follower reports it:
 /// one `ERR REPL FRAME <reason>` per rejected batch, zero records
 /// applied — the strict all-or-nothing contract the `BULK` frame set.
 pub fn feed_frame_error(reason: &str) -> String {
     format!("ERR REPL FRAME {reason}")
 }
 
-/// Does a `REPL HELLO` reply advertise the binary feed capability?
-fn hello_caps_bin(hello: &str) -> bool {
-    field(hello, "caps=").is_some_and(|caps| caps.split(',').any(|cap| cap == "bin"))
-}
-
-/// The `REPL FETCH` request line for either feed.
-fn fetch_request(from: u64, max: u64, bin: bool) -> String {
-    if bin {
-        format!("REPL FETCH {from} {max} BIN")
-    } else {
-        format!("REPL FETCH {from} {max}")
-    }
+/// The `REPL FETCH` request line.
+fn fetch_request(from: u64, max: u64) -> String {
+    format!("REPL FETCH {from} {max}")
 }
 
 /// What one tailer iteration achieved.
@@ -225,10 +179,8 @@ struct TailConn {
     /// The cursor of a `FETCH` already sent whose reply has not been
     /// read yet — the double-buffering half of the catch-up fast path.
     pending: Option<u64>,
-    /// Whether this connection negotiated the binary feed.
-    bin: bool,
     /// The [`ReplState::tail_gen`] this connection was dialled under.  A
-    /// `RETARGET` or feed swap bumps the generation, so an iteration
+    /// `RETARGET` bumps the generation, so an iteration
     /// that raced it can neither reuse nor re-store the stale socket.
     gen: u64,
 }
@@ -257,9 +209,9 @@ struct ReplState {
     /// cold restart replayed only the post-snapshot suffix.
     replayed: u64,
     /// The tailer's warm upstream connection between iterations, with
-    /// its negotiated feed and any in-flight prefetch.
+    /// any in-flight prefetch.
     tail: Option<TailConn>,
-    /// Bumped whenever the upstream or feed preference changes: a
+    /// Bumped whenever the upstream changes: a
     /// [`TailConn`] from an older generation is dead on arrival, even if
     /// a tail iteration holding it raced the change.
     tail_gen: u64,
@@ -278,11 +230,6 @@ struct ReplState {
     /// in the HELLO handshake: mismatched thresholds diverge replicas
     /// after promotion, so they are refused at connect time.
     auto_compact: Option<u64>,
-    /// The feed this follower prefers (`--feed`); `Auto` negotiates.
-    feed: FeedMode,
-    /// Whether the active (or last negotiated) feed is binary — the
-    /// `repl feed=` gauge.
-    feed_bin: bool,
     /// Cumulative payload bytes received over the replication feed
     /// (snapshot bootstraps plus record fetches) — the `repl bytes=`
     /// gauge the wire-savings acceptance check reads.
@@ -429,8 +376,6 @@ impl ReplicatedBackend {
                     retries: 0,
                     upstream_end: 0,
                     auto_compact: None,
-                    feed: FeedMode::Auto,
-                    feed_bin: false,
                     feed_bytes: 0,
                     fetch_batch: DEFAULT_FETCH_RECORDS,
                 };
@@ -471,8 +416,6 @@ impl ReplicatedBackend {
                     retries: 0,
                     upstream_end: 0,
                     auto_compact: None,
-                    feed: FeedMode::Auto,
-                    feed_bin: false,
                     feed_bytes: 0,
                     fetch_batch: DEFAULT_FETCH_RECORDS,
                 };
@@ -502,23 +445,14 @@ impl ReplicatedBackend {
         auto_compact: Option<u64>,
         tune: impl Fn(RepairEngine) -> RepairEngine + Send + Sync + 'static,
     ) -> Result<ReplicatedBackend, ReplogError> {
-        ReplicatedBackend::follower_with(
-            upstream,
-            auto_compact,
-            FeedMode::Auto,
-            DEFAULT_FETCH_RECORDS,
-            tune,
-        )
+        ReplicatedBackend::follower_with(upstream, auto_compact, DEFAULT_FETCH_RECORDS, tune)
     }
 
-    /// [`follower`](ReplicatedBackend::follower) with the feed tuned:
-    /// `feed` picks the wire encoding (binary batches when the upstream
-    /// advertises `caps=bin` under `Auto`, forced either way otherwise)
-    /// and `fetch_batch` the records requested per tail fetch.
+    /// [`follower`](ReplicatedBackend::follower) with the records
+    /// requested per tail fetch set to `fetch_batch`.
     pub fn follower_with(
         upstream: &str,
         auto_compact: Option<u64>,
-        feed: FeedMode,
         fetch_batch: u64,
         tune: impl Fn(RepairEngine) -> RepairEngine + Send + Sync + 'static,
     ) -> Result<ReplicatedBackend, ReplogError> {
@@ -529,25 +463,8 @@ impl ReplicatedBackend {
                 "upstream {upstream} refused the handshake: {hello}"
             )));
         }
-        let bin = match feed {
-            FeedMode::Text => false,
-            FeedMode::Auto => hello_caps_bin(&hello),
-            FeedMode::Bin => {
-                if !hello_caps_bin(&hello) {
-                    return Err(ReplogError::Diverged(format!(
-                        "upstream {upstream} does not advertise caps=bin; \
-                         use --feed auto or --feed text to tail it"
-                    )));
-                }
-                true
-            }
-        };
         let upstream_end = field_u64(&hello, "end=").unwrap_or(0);
-        let (snapshot_bytes, snapshot, wire) = if bin {
-            fetch_snapshot_bin(&mut client)?
-        } else {
-            fetch_snapshot(&mut client)?
-        };
+        let (snapshot_bytes, snapshot, wire) = fetch_snapshot(&mut client)?;
         let Snapshot {
             epoch,
             offset,
@@ -571,7 +488,6 @@ impl ReplicatedBackend {
             tail: Some(TailConn {
                 client,
                 pending: None,
-                bin,
                 gen: 0,
             }),
             tail_gen: 0,
@@ -579,8 +495,6 @@ impl ReplicatedBackend {
             retries: 0,
             upstream_end,
             auto_compact,
-            feed,
-            feed_bin: bin,
             feed_bytes: wire,
             fetch_batch: fetch_batch.clamp(1, MAX_FETCH_RECORDS),
         };
@@ -601,17 +515,6 @@ impl ReplicatedBackend {
     /// sets this from its config at start-up.
     pub fn set_auto_compact(&self, threshold: Option<u64>) {
         lock(&self.repl).auto_compact = threshold;
-    }
-
-    /// Swaps the preferred feed encoding.  The warm tail connection is
-    /// dropped so the next iteration re-handshakes and negotiates the
-    /// new preference.  Lets an operator — or a mixed-mode test —
-    /// bootstrap over one encoding and tail over the other.
-    pub fn set_feed(&self, feed: FeedMode) {
-        let mut repl = lock(&self.repl);
-        repl.feed = feed;
-        repl.tail = None;
-        repl.tail_gen += 1;
     }
 
     /// Shared query access to the engine.
@@ -691,17 +594,13 @@ impl ReplicatedBackend {
     }
 
     /// The `STATS` reply with the replication gauge tail.  Followers add
-    /// the feed gauges (`feed=bin|text bytes=<n>`): the active wire
-    /// encoding and the cumulative payload bytes it has cost.
+    /// the feed gauge `bytes=<n>`: the cumulative payload bytes the feed
+    /// has cost.
     pub fn stats(&self) -> String {
         let head = self.read(reply::render_stats);
         let repl = lock(&self.repl);
         let feed = match repl.role {
-            Role::Follower => format!(
-                " feed={} bytes={}",
-                if repl.feed_bin { "bin" } else { "text" },
-                repl.feed_bytes
-            ),
+            Role::Follower => format!(" bytes={}", repl.feed_bytes),
             Role::Primary => String::new(),
         };
         let fenced = match repl.fenced {
@@ -792,7 +691,7 @@ impl ReplicatedBackend {
                     None => String::new(),
                 };
                 vec![format!(
-                    "OK REPL HELLO epoch={} base={} end={} snap={} role={} {} caps=bin{fenced}",
+                    "OK REPL HELLO epoch={} base={} end={} snap={} role={} {}{fenced}",
                     repl.epoch,
                     repl.mem_base,
                     repl.end(),
@@ -802,61 +701,34 @@ impl ReplicatedBackend {
                 )]
             }),
             "SNAPSHOT" => {
-                let bin = match tokens.get(2) {
-                    None => false,
-                    Some(t) if t.eq_ignore_ascii_case("BIN") => true,
-                    Some(_) => {
-                        return ReplReply::text(vec![
-                            "ERR REPL usage: REPL SNAPSHOT [BIN]".to_string()
-                        ]);
-                    }
-                };
-                if bin {
-                    let chunks: Vec<&[u8]> = repl
-                        .snapshot_bytes
-                        .chunks(SNAPSHOT_BIN_CHUNK_BYTES)
-                        .collect();
-                    let mut raw = Vec::with_capacity(repl.snapshot_bytes.len() + chunks.len() * 8);
-                    for chunk in &chunks {
-                        raw.extend_from_slice(&frame(chunk));
-                    }
-                    return ReplReply {
-                        lines: vec![format!(
-                            "OK REPL SNAPSHOT BIN epoch={} offset={} bytes={} chunks={}",
-                            repl.epoch,
-                            repl.snapshot_offset,
-                            repl.snapshot_bytes.len(),
-                            chunks.len()
-                        )],
-                        raw,
-                    };
+                if tokens.len() > 2 {
+                    return ReplReply::text(vec!["ERR REPL usage: REPL SNAPSHOT".to_string()]);
                 }
                 let chunks: Vec<&[u8]> = repl.snapshot_bytes.chunks(SNAPSHOT_CHUNK_BYTES).collect();
-                let mut lines = Vec::with_capacity(chunks.len() + 1);
-                lines.push(format!(
-                    "OK REPL SNAPSHOT epoch={} offset={} bytes={} chunks={}",
-                    repl.epoch,
-                    repl.snapshot_offset,
-                    repl.snapshot_bytes.len(),
-                    chunks.len()
-                ));
-                for chunk in chunks {
-                    lines.push(format!("REPL CHUNK {}", to_hex(chunk)));
+                let mut raw = Vec::with_capacity(repl.snapshot_bytes.len() + chunks.len() * 8);
+                for chunk in &chunks {
+                    raw.extend_from_slice(&frame(chunk));
                 }
-                ReplReply::text(lines)
+                ReplReply {
+                    lines: vec![format!(
+                        "OK REPL SNAPSHOT epoch={} offset={} bytes={} chunks={}",
+                        repl.epoch,
+                        repl.snapshot_offset,
+                        repl.snapshot_bytes.len(),
+                        chunks.len()
+                    )],
+                    raw,
+                }
             }
             "FETCH" => {
-                let usage = || vec!["ERR REPL usage: REPL FETCH <from> <max> [BIN]".to_string()];
-                let (Some(Ok(from)), Some(Ok(max))) = (
+                let (Some(Ok(from)), Some(Ok(max)), None) = (
                     tokens.get(2).map(|t| t.parse::<u64>()),
                     tokens.get(3).map(|t| t.parse::<u64>()),
+                    tokens.get(4),
                 ) else {
-                    return ReplReply::text(usage());
-                };
-                let bin = match tokens.get(4) {
-                    None => false,
-                    Some(t) if t.eq_ignore_ascii_case("BIN") => true,
-                    Some(_) => return ReplReply::text(usage()),
+                    return ReplReply::text(vec![
+                        "ERR REPL usage: REPL FETCH <from> <max>".to_string()
+                    ]);
                 };
                 if from < repl.mem_base {
                     return ReplReply::text(vec![format!(
@@ -872,37 +744,20 @@ impl ReplicatedBackend {
                 }
                 let start = (from - repl.mem_base) as usize;
                 let n = (repl.records.len() - start).min(max.min(MAX_FETCH_RECORDS) as usize);
-                if bin {
-                    let raw = encode_record_batch(&repl.records[start..start + n]);
-                    return ReplReply {
-                        lines: vec![format!(
-                            "OK REPL BATCH {} n={} next={} end={}",
-                            raw.len(),
-                            n,
-                            from + n as u64,
-                            repl.end()
-                        )],
-                        raw,
-                    };
+                let raw = encode_record_batch(&repl.records[start..start + n]);
+                ReplReply {
+                    lines: vec![format!(
+                        "OK REPL BATCH {} n={} next={} end={}",
+                        raw.len(),
+                        n,
+                        from + n as u64,
+                        repl.end()
+                    )],
+                    raw,
                 }
-                let mut lines = Vec::with_capacity(n + 1);
-                lines.push(format!(
-                    "OK REPL RECORDS n={} next={} end={}",
-                    n,
-                    from + n as u64,
-                    repl.end()
-                ));
-                for payload in &repl.records[start..start + n] {
-                    lines.push(format!(
-                        "REPL RECORD {}",
-                        to_hex(&wrap_checksummed(payload))
-                    ));
-                }
-                ReplReply::text(lines)
             }
             _ => ReplReply::text(vec![
-                "ERR REPL usage: REPL HELLO | REPL SNAPSHOT [BIN] | REPL FETCH <from> <max> [BIN]"
-                    .to_string(),
+                "ERR REPL usage: REPL HELLO | REPL SNAPSHOT | REPL FETCH <from> <max>".to_string(),
             ]),
         }
     }
@@ -989,7 +844,7 @@ impl ReplicatedBackend {
     /// (drop the connection, count the retry, back off) — a dead or
     /// hostile upstream must never panic the tailer.
     pub(crate) fn tail_once(&self) -> TailOutcome {
-        let (conn, from, upstream, epoch, auto_compact, feed, fetch_batch, gen) = {
+        let (conn, from, upstream, epoch, auto_compact, fetch_batch, gen) = {
             let mut repl = lock(&self.repl);
             if repl.role == Role::Primary {
                 return TailOutcome::Promoted;
@@ -1003,7 +858,6 @@ impl ReplicatedBackend {
                 upstream,
                 repl.epoch,
                 repl.auto_compact,
-                repl.feed,
                 repl.fetch_batch,
                 repl.tail_gen,
             )
@@ -1016,9 +870,8 @@ impl ReplicatedBackend {
                 // the spot when it does not gate admin verbs; a gated one
                 // answers `ERR DENIED`, which equally stops us tailing
                 // it) and our compact threshold (so a mismatch is refused
-                // here, not discovered as replay divergence), refuse to
-                // tail an upstream behind our own epoch, and negotiate
-                // the feed encoding from its `caps=` advertisement.
+                // here, not discovered as replay divergence), and refuse
+                // to tail an upstream behind our own epoch.
                 let Ok(mut client) = Client::connect(&upstream) else {
                     return self.tail_failed();
                 };
@@ -1033,31 +886,13 @@ impl ReplicatedBackend {
                     eprintln!("cdr-server: upstream {upstream} is stale ({hello}); not tailing it");
                     return self.tail_failed();
                 }
-                let bin = match feed {
-                    FeedMode::Text => false,
-                    FeedMode::Auto => hello_caps_bin(&hello),
-                    FeedMode::Bin => {
-                        if !hello_caps_bin(&hello) {
-                            eprintln!(
-                                "cdr-server: upstream {upstream} does not advertise caps=bin; \
-                                 --feed bin cannot tail it"
-                            );
-                            return self.tail_failed();
-                        }
-                        true
-                    }
-                };
-                {
+                if let Some(end) = field_u64(&hello, "end=") {
                     let mut repl = lock(&self.repl);
-                    if let Some(end) = field_u64(&hello, "end=") {
-                        repl.upstream_end = repl.upstream_end.max(end);
-                    }
-                    repl.feed_bin = bin;
+                    repl.upstream_end = repl.upstream_end.max(end);
                 }
                 TailConn {
                     client,
                     pending: None,
-                    bin,
                     gen,
                 }
             }
@@ -1074,19 +909,14 @@ impl ReplicatedBackend {
             None => {
                 if conn
                     .client
-                    .send_line(&fetch_request(from, fetch_batch, conn.bin))
+                    .send_line(&fetch_request(from, fetch_batch))
                     .is_err()
                 {
                     return self.tail_failed();
                 }
             }
         }
-        let reply = if conn.bin {
-            read_batch_reply(&mut conn.client)
-        } else {
-            read_records_reply(&mut conn.client)
-        };
-        let fetched = match reply {
+        let fetched = match read_batch_reply(&mut conn.client) {
             Ok(FetchReply::Compacted) => return self.rebootstrap(conn),
             Ok(FetchReply::Records(fetched)) => fetched,
             Err(Some(reason)) => {
@@ -1141,7 +971,7 @@ impl ReplicatedBackend {
         if more {
             if conn
                 .client
-                .send_line(&fetch_request(fetched.next, fetch_batch, conn.bin))
+                .send_line(&fetch_request(fetched.next, fetch_batch))
                 .is_ok()
             {
                 conn.pending = Some(fetched.next);
@@ -1180,15 +1010,10 @@ impl ReplicatedBackend {
     }
 
     /// The tailer fell behind the upstream's snapshot horizon: fetch the
-    /// current snapshot (over the connection's negotiated feed) and
-    /// restart the engine from it.
+    /// current snapshot over the same connection and restart the engine
+    /// from it.
     fn rebootstrap(&self, mut conn: TailConn) -> TailOutcome {
-        let fetched = if conn.bin {
-            fetch_snapshot_bin(&mut conn.client)
-        } else {
-            fetch_snapshot(&mut conn.client)
-        };
-        let Ok((snapshot_bytes, snapshot, wire)) = fetched else {
+        let Ok((snapshot_bytes, snapshot, wire)) = fetch_snapshot(&mut conn.client) else {
             return self.tail_failed();
         };
         let Snapshot {
@@ -1219,7 +1044,7 @@ impl ReplicatedBackend {
     }
 }
 
-/// A fetched record batch, whichever encoding it travelled in.
+/// A fetched record batch.
 struct Fetched {
     /// The record payloads, in offset order.
     payloads: Vec<Vec<u8>>,
@@ -1239,38 +1064,7 @@ enum FetchReply {
     Compacted,
 }
 
-/// Reads a textual `OK REPL RECORDS` reply.  `Err(Some(reason))` is a
-/// loggable feed defect, `Err(None)` a plain I/O failure.
-fn read_records_reply(client: &mut Client) -> Result<FetchReply, Option<String>> {
-    let header = client.read_line().map_err(|_| None)?;
-    if header.starts_with("ERR REPL COMPACTED") {
-        return Ok(FetchReply::Compacted);
-    }
-    let (Some(n), Some(next)) = (field_u64(&header, "n="), field_u64(&header, "next=")) else {
-        return Err(Some(format!("unexpected fetch reply: {header}")));
-    };
-    let mut wire = header.len() as u64 + 1;
-    let mut payloads = Vec::with_capacity(n.min(MAX_FETCH_RECORDS) as usize);
-    for _ in 0..n {
-        let line = client.read_line().map_err(|_| None)?;
-        wire += line.len() as u64 + 1;
-        let Some(hex) = line.strip_prefix("REPL RECORD ") else {
-            return Err(Some(format!("expected a REPL RECORD line, got: {line}")));
-        };
-        let bytes = from_hex(hex).map_err(|e| Some(feed_frame_error(&e.to_string())))?;
-        let payload =
-            unwrap_checksummed(&bytes).map_err(|e| Some(feed_frame_error(&e.to_string())))?;
-        payloads.push(payload.to_vec());
-    }
-    Ok(FetchReply::Records(Fetched {
-        payloads,
-        next,
-        upstream_end: field_u64(&header, "end="),
-        wire,
-    }))
-}
-
-/// Reads a binary `OK REPL BATCH <len> …` reply: the header line, then
+/// Reads an `OK REPL BATCH <len> …` reply: the header line, then
 /// `len` raw bytes decoded through the strict all-or-nothing batch
 /// codec.  An oversize header is refused before any allocation.
 fn read_batch_reply(client: &mut Client) -> Result<FetchReply, Option<String>> {
@@ -1311,50 +1105,19 @@ fn read_batch_reply(client: &mut Client) -> Result<FetchReply, Option<String>> {
     }))
 }
 
-/// Pulls and reassembles the upstream's snapshot over the textual hex
-/// chunk protocol: the raw bytes (served verbatim to any downstream
-/// follower), the decoded image, and the wire bytes it cost.
+/// Pulls and reassembles the upstream's snapshot (`REPL SNAPSHOT`):
+/// the raw bytes (served verbatim to any downstream follower), the
+/// decoded image, and the wire bytes it cost.  Each chunk is one
+/// `[len ‖ crc32 ‖ payload]` frame of raw bytes, CRC-checked as it
+/// lands.  A chunk header promising more than the frame cap, or more
+/// than the header's `bytes=` still allows, is refused before its body
+/// is read.
 fn fetch_snapshot(client: &mut Client) -> Result<(Vec<u8>, Snapshot, u64), ReplogError> {
     let header = client.send("REPL SNAPSHOT")?;
     let (Some(bytes), Some(chunks)) = (field_u64(&header, "bytes="), field_u64(&header, "chunks="))
     else {
         return Err(ReplogError::Diverged(format!(
             "upstream refused the snapshot: {header}"
-        )));
-    };
-    let mut assembled = Vec::with_capacity(bytes as usize);
-    let mut wire = header.len() as u64 + 1;
-    for _ in 0..chunks {
-        let line = client.read_line()?;
-        wire += line.len() as u64 + 1;
-        let Some(hex) = line.strip_prefix("REPL CHUNK ") else {
-            return Err(ReplogError::Diverged(format!(
-                "expected a REPL CHUNK line, got: {line}"
-            )));
-        };
-        assembled.extend_from_slice(&from_hex(hex)?);
-    }
-    if assembled.len() as u64 != bytes {
-        return Err(ReplogError::Diverged(format!(
-            "snapshot reassembled to {} bytes, header promised {bytes}",
-            assembled.len()
-        )));
-    }
-    let snapshot = Snapshot::decode(&assembled)?;
-    Ok((assembled, snapshot, wire))
-}
-
-/// Pulls and reassembles the upstream's snapshot over the binary chunk
-/// protocol (`REPL SNAPSHOT BIN`): each chunk is one
-/// `[len ‖ crc32 ‖ payload]` frame of raw bytes, CRC-checked as it
-/// lands.  A chunk header promising more than the frame cap is refused
-/// before any allocation.
-fn fetch_snapshot_bin(client: &mut Client) -> Result<(Vec<u8>, Snapshot, u64), ReplogError> {
-    let header = client.send("REPL SNAPSHOT BIN")?;
-    let (Some(bytes), Some(chunks)) = (field_u64(&header, "bytes="), field_u64(&header, "chunks="))
-    else {
-        return Err(ReplogError::Diverged(format!(
-            "upstream refused the binary snapshot: {header}"
         )));
     };
     let mut assembled = Vec::with_capacity((bytes as usize).min(MAX_CHUNK_FRAME_BYTES));
@@ -1366,6 +1129,11 @@ fn fetch_snapshot_bin(client: &mut Client) -> Result<(Vec<u8>, Snapshot, u64), R
         if len > MAX_CHUNK_FRAME_BYTES {
             return Err(ReplogError::Diverged(format!(
                 "snapshot chunk of {len} bytes exceeds the {MAX_CHUNK_FRAME_BYTES}-byte cap"
+            )));
+        }
+        if assembled.len() as u64 + len as u64 > bytes {
+            return Err(ReplogError::Diverged(format!(
+                "snapshot chunk of {len} bytes overruns the {bytes} bytes the header promised"
             )));
         }
         let payload = client.read_exact(len)?;
@@ -1428,16 +1196,17 @@ mod tests {
         let hello = &backend.repl("REPL HELLO", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=3 snap=3 role=primary compact=off caps=bin"
+            "OK REPL HELLO epoch=0 base=0 end=3 snap=3 role=primary compact=off"
         );
         // In-memory records are retained across the snapshot for tailers.
-        let fetched = backend.repl("REPL FETCH 0 64", true).lines;
+        let fetched = backend.repl("REPL FETCH 0 64", true);
         assert!(
-            fetched[0].starts_with("OK REPL RECORDS n=3 "),
+            fetched.lines[0].starts_with("OK REPL BATCH "),
             "{}",
-            fetched[0]
+            fetched.lines[0]
         );
-        assert_eq!(fetched.len(), 4);
+        assert_eq!(field_u64(&fetched.lines[0], "n="), Some(3));
+        assert_eq!(decode_record_batch(&fetched.raw).unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1476,10 +1245,15 @@ mod tests {
         assert!(backend.repl("REPL FETCH 5 4", true).lines[0].starts_with("ERR REPL RANGE "));
         assert!(backend.repl("REPL FETCH x 4", true).lines[0].starts_with("ERR REPL usage"));
         assert!(backend.repl("REPL NONSENSE", true).lines[0].starts_with("ERR REPL usage"));
+        let empty = backend.repl("REPL FETCH 0 10", true);
         assert_eq!(
-            backend.repl("REPL FETCH 0 10", true).lines,
-            vec!["OK REPL RECORDS n=0 next=0 end=0".to_string()]
+            empty.lines,
+            vec![format!(
+                "OK REPL BATCH {} n=0 next=0 end=0",
+                empty.raw.len()
+            )]
         );
+        assert!(decode_record_batch(&empty.raw).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1510,7 +1284,7 @@ mod tests {
         let hello = &backend.repl("REPL HELLO epoch=0", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=off caps=bin"
+            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=off"
         );
         assert!(backend
             .mutate(insert("Employee(9, 'Flux', 'Ops')"), None)
@@ -1521,7 +1295,7 @@ mod tests {
         let hello = &backend.repl("REPL HELLO epoch=3", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=1 snap=0 role=primary compact=off caps=bin fenced=3"
+            "OK REPL HELLO epoch=0 base=0 end=1 snap=0 role=primary compact=off fenced=3"
         );
         assert_eq!(
             backend.mutate(insert("Employee(9, 'Nope', 'Ops')"), None),
@@ -1591,7 +1365,7 @@ mod tests {
         let hello = &backend.repl("REPL HELLO epoch=0 compact=16", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=16 caps=bin"
+            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=16"
         );
         // A refused handshake never fences: the epoch check runs after.
         assert_eq!(
@@ -1622,61 +1396,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `SNAPSHOT` streams `[len ‖ crc32 ‖ payload]` chunks that
+    /// reassemble to the exact image of the engine, with nothing after
+    /// the last chunk.
     #[test]
     fn the_served_snapshot_round_trips() {
         let dir = temp_dir("snapshot");
         let backend = ReplicatedBackend::primary(seed(), &dir).unwrap();
-        let lines = backend.repl("REPL SNAPSHOT", true).lines;
-        let bytes = field_u64(&lines[0], "bytes=").unwrap();
-        let mut assembled = Vec::new();
-        for line in &lines[1..] {
-            assembled
-                .extend_from_slice(&from_hex(line.strip_prefix("REPL CHUNK ").unwrap()).unwrap());
-        }
-        assert_eq!(assembled.len() as u64, bytes);
-        let snapshot = Snapshot::decode(&assembled).unwrap();
-        backend.read(|engine| {
-            assert_eq!(&snapshot.db, engine.database());
-            assert_eq!(&snapshot.keys, engine.keys());
-            assert_eq!(snapshot.generation, engine.generation());
-        });
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The binary forms carry the same payloads the textual forms do:
-    /// `FETCH … BIN` answers one batch frame whose records match the hex
-    /// lines byte for byte, and `SNAPSHOT BIN` chunks reassemble to the
-    /// exact snapshot image.
-    #[test]
-    fn the_binary_fetch_and_snapshot_round_trip() {
-        let dir = temp_dir("bin");
-        let backend = ReplicatedBackend::primary(seed(), &dir).unwrap();
-        let db = backend.parse_database();
-        let insert = |text: &str| Mutation::Insert(db.parse_fact(text).unwrap());
-        backend.mutate(insert("Employee(9, 'Flux', 'Ops')"), None);
-        backend.mutate(insert("Employee(10, 'Mesh', 'Ops')"), None);
-
-        let reply = backend.repl("REPL FETCH 0 64 BIN", true);
-        let header = reply.lines[0].clone();
-        assert!(header.starts_with("OK REPL BATCH "), "{header}");
-        let len: usize = header.split_whitespace().nth(3).unwrap().parse().unwrap();
-        assert_eq!(reply.raw.len(), len);
-        assert_eq!(field_u64(&header, "n="), Some(2));
-        assert_eq!(field_u64(&header, "next="), Some(2));
-        assert_eq!(field_u64(&header, "end="), Some(2));
-        let payloads = decode_record_batch(&reply.raw).unwrap();
-        assert_eq!(payloads.len(), 2);
-        let textual = backend.repl("REPL FETCH 0 64", true).lines;
-        for (payload, line) in payloads.iter().zip(&textual[1..]) {
-            let bytes = from_hex(line.strip_prefix("REPL RECORD ").unwrap()).unwrap();
-            assert_eq!(payload.as_slice(), unwrap_checksummed(&bytes).unwrap());
-        }
-
-        let reply = backend.repl("REPL SNAPSHOT BIN", true);
-        let header = reply.lines[0].clone();
-        assert!(header.starts_with("OK REPL SNAPSHOT BIN "), "{header}");
-        let bytes = field_u64(&header, "bytes=").unwrap();
-        let chunks = field_u64(&header, "chunks=").unwrap();
+        let reply = backend.repl("REPL SNAPSHOT", true);
+        assert_eq!(reply.lines.len(), 1);
+        let header = &reply.lines[0];
+        assert!(header.starts_with("OK REPL SNAPSHOT "), "{header}");
+        let bytes = field_u64(header, "bytes=").unwrap();
+        let chunks = field_u64(header, "chunks=").unwrap();
         let mut assembled = Vec::new();
         let mut rest = reply.raw.as_slice();
         for _ in 0..chunks {
@@ -1688,19 +1420,54 @@ mod tests {
         }
         assert!(rest.is_empty(), "no trailing bytes after the last chunk");
         assert_eq!(assembled.len() as u64, bytes);
-        Snapshot::decode(&assembled).unwrap();
-        // Byte-identical to what the textual hex chunks carry.
-        let textual = backend.repl("REPL SNAPSHOT", true).lines;
-        let mut hex_assembled = Vec::new();
-        for line in &textual[1..] {
-            hex_assembled
-                .extend_from_slice(&from_hex(line.strip_prefix("REPL CHUNK ").unwrap()).unwrap());
-        }
-        assert_eq!(assembled, hex_assembled);
+        let snapshot = Snapshot::decode(&assembled).unwrap();
+        backend.read(|engine| {
+            assert_eq!(&snapshot.db, engine.database());
+            assert_eq!(&snapshot.keys, engine.keys());
+            assert_eq!(snapshot.generation, engine.generation());
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
-        // Malformed binary forms draw the usage lines.
-        assert!(backend.repl("REPL FETCH 0 64 NOPE", true).lines[0].starts_with("ERR REPL usage"));
-        assert!(backend.repl("REPL SNAPSHOT NOPE", true).lines[0].starts_with("ERR REPL usage"));
+    /// `FETCH` answers one batch frame whose records are the logged
+    /// ones, in offset order; a trailing token on either form draws the
+    /// usage line.
+    #[test]
+    fn the_fetch_batch_round_trips() {
+        let dir = temp_dir("batch");
+        let backend = ReplicatedBackend::primary(seed(), &dir).unwrap();
+        let db = backend.parse_database();
+        let insert = |text: &str| Mutation::Insert(db.parse_fact(text).unwrap());
+        backend.mutate(insert("Employee(9, 'Flux', 'Ops')"), None);
+        backend.mutate(insert("Employee(10, 'Mesh', 'Ops')"), None);
+
+        let reply = backend.repl("REPL FETCH 0 64", true);
+        let header = reply.lines[0].clone();
+        assert!(header.starts_with("OK REPL BATCH "), "{header}");
+        let len: usize = header.split_whitespace().nth(3).unwrap().parse().unwrap();
+        assert_eq!(reply.raw.len(), len);
+        assert_eq!(field_u64(&header, "n="), Some(2));
+        assert_eq!(field_u64(&header, "next="), Some(2));
+        assert_eq!(field_u64(&header, "end="), Some(2));
+        let payloads = decode_record_batch(&reply.raw).unwrap();
+        let schema = db.schema().clone();
+        for (offset, payload) in payloads.iter().enumerate() {
+            assert_eq!(
+                LogRecord::decode(payload, &schema).unwrap().offset,
+                offset as u64
+            );
+        }
+        assert_eq!(payloads.len(), 2);
+
+        for line in [
+            "REPL FETCH 0 64 BIN",
+            "REPL FETCH 0 64 NOPE",
+            "REPL SNAPSHOT BIN",
+        ] {
+            let reply = backend.repl(line, true);
+            assert!(reply.lines[0].starts_with("ERR REPL usage"), "{line}");
+            assert!(reply.raw.is_empty(), "{line}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

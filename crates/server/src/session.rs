@@ -57,7 +57,7 @@ pub(crate) enum Step {
     /// One or more reply lines to send, in order.
     Replies(Vec<String>),
     /// Reply lines followed by raw bytes sent verbatim (no newline
-    /// appended) — a binary `REPL BATCH`/`SNAPSHOT BIN` body.
+    /// appended) — a binary `REPL BATCH`/`SNAPSHOT` body.
     RepliesRaw(Vec<String>, Vec<u8>),
     /// Send the line, then close this connection.
     Quit(String),

@@ -92,8 +92,8 @@ pub mod prelude {
         SnapshotError, Symbol, SymbolTable, Value,
     };
     pub use cdr_server::{
-        client::Client, client::RetryPolicy, Backend, FeedMode, Oracle, ReplReply,
-        ReplicatedBackend, Role, Server, ServerConfig, ServerStats, Supervisor, SupervisorConfig,
-        SupervisorState, SupervisorStatus,
+        client::Client, client::RetryPolicy, Backend, Oracle, ReplReply, ReplicatedBackend, Role,
+        Server, ServerConfig, ServerStats, Supervisor, SupervisorConfig, SupervisorState,
+        SupervisorStatus,
     };
 }

@@ -75,10 +75,10 @@ fn start_fuzz_server(
     (server, Some(dir))
 }
 
-/// Reads the rest of a multi-line `REPL` reply whose header announces
-/// `n=`/`chunks=` continuation lines — or, for the binary forms, the
-/// raw body whose byte count the header announces — so the connection
-/// never desyncs.
+/// Reads the raw body a `REPL` reply header announces — the batch
+/// frame after `OK REPL BATCH <len>`, or the `[len ‖ crc32 ‖ payload]`
+/// chunks after `OK REPL SNAPSHOT` — so the connection never desyncs.
+/// Every other `REPL` reply is its one header line.
 fn drain_repl_reply(client: &mut Client, header: &str) {
     if let Some(rest) = header.strip_prefix("OK REPL BATCH ") {
         let len = rest
@@ -87,31 +87,12 @@ fn drain_repl_reply(client: &mut Client, header: &str) {
             .and_then(|token| token.parse::<usize>().ok())
             .expect("BATCH headers announce their frame length");
         client.read_exact(len).expect("announced batch frame");
-        return;
-    }
-    if header.starts_with("OK REPL SNAPSHOT BIN ") {
+    } else if header.starts_with("OK REPL SNAPSHOT ") {
         let bytes = stat_field(header, "bytes=").expect("snapshot bytes");
         let chunks = stat_field(header, "chunks=").expect("snapshot chunks");
         client
             .read_exact(bytes as usize + 8 * chunks as usize)
             .expect("announced snapshot chunks");
-        return;
-    }
-    let continuation = header
-        .split_whitespace()
-        .find_map(|token| {
-            token
-                .strip_prefix("n=")
-                .or_else(|| token.strip_prefix("chunks="))
-        })
-        .and_then(|value| value.parse::<usize>().ok())
-        .unwrap_or(0);
-    for _ in 0..continuation {
-        let line = client.read_line().expect("announced REPL line");
-        assert!(
-            line.starts_with("REPL RECORD ") || line.starts_with("REPL CHUNK "),
-            "{line}"
-        );
     }
 }
 
@@ -289,10 +270,11 @@ proptest! {
                     let reply = client.read_line().expect("reassembled line");
                     prop_assert!(reply.starts_with("OK STATS "), "{}", reply);
                 }
-                // Garbage / partial REPL frames: corrupt hex records, bad
-                // cursors, truncated subcommands.  Non-replicated backends
+                // Garbage / partial REPL frames: `REPL RECORD`/`REPL
+                // CHUNK` lines no server accepts, bad cursors, trailing
+                // tokens, truncated subcommands.  Non-replicated backends
                 // refuse the verb, a replicated primary answers in
-                // protocol — nobody panics, and multi-line replies are
+                // protocol — nobody panics, and binary bodies are
                 // drained so the session never desyncs.
                 8 => {
                     let garbage = [
@@ -307,6 +289,7 @@ proptest! {
                         "REPL FETCH 0 3",
                         "REPL FETCH 0 3 BIN",
                         "REPL FETCH 0 3 NOPE",
+                        "REPL SNAPSHOT",
                         "REPL SNAPSHOT BIN",
                         "REPL SNAPSHOT NOPE",
                     ];
@@ -506,19 +489,27 @@ fn abrupt_disconnect_mid_batch_leaves_engine_untouched() {
     assert_eq!(server.join().recovered_panics, 0);
 }
 
-/// A scripted hostile upstream for the binary replication feed: it
-/// handshakes like a binary-capable primary, then serves one defective
-/// `REPL FETCH … BIN` reply per connection — a flipped payload byte, a
-/// flipped checksum byte, a mid-frame disconnect after half the promised
-/// bytes, an oversize `BATCH <len>` header, and a frame whose header
-/// lies about the record count.  The tailer must degrade to
-/// idle-and-retry on every one of them: one retry counted per defect,
-/// zero records applied, no panic — and it recovers fully once
-/// retargeted back at the real primary.
+/// A scripted hostile upstream for the replication feed: it handshakes
+/// like a primary, then serves one defect per connection.  The batch
+/// defects answer `REPL FETCH`: a flipped payload byte, a flipped
+/// checksum byte, a mid-frame disconnect after half the promised bytes,
+/// an oversize `BATCH <len>` header, and a frame whose header lies about
+/// the record count.  The snapshot defects answer `REPL FETCH` with
+/// `ERR REPL COMPACTED` and then serve a defective re-bootstrap `REPL
+/// SNAPSHOT`: a flipped chunk CRC, a chunk header over the 16 MiB cap,
+/// chunks that overrun the announced `bytes=`, and a truncated chunk.
+/// The tailer must degrade to idle-and-retry on every one of them:
+/// exactly one retry counted per defect, zero records applied, no panic
+/// — and it recovers fully once retargeted back at the real primary.
+///
+/// The chunk that overruns `bytes=` arrives as a bare header whose body
+/// is never sent, so a tailer that read the body before checking the
+/// total would wait out its 30-second read timeout here.
 #[test]
 fn a_hostile_binary_upstream_never_panics_the_tailer() {
-    use repair_count::counting::replog::encode_record_batch;
+    use repair_count::counting::replog::{encode_record_batch, frame};
     use std::io::{BufRead, BufReader, Write};
+    use std::sync::mpsc;
 
     let (db, keys) = base();
     let dir = temp_log_dir();
@@ -531,18 +522,19 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
             .expect("insert");
         assert!(reply.starts_with("OK INSERT "), "{reply}");
     }
-    let follower_backend = ReplicatedBackend::follower_with(
-        &primary.addr().to_string(),
-        None,
-        FeedMode::Bin,
-        64,
-        |engine| engine,
-    )
-    .expect("bootstrap");
+    let follower_backend =
+        ReplicatedBackend::follower(&primary.addr().to_string(), None, |engine| engine)
+            .expect("bootstrap");
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake upstream");
     let fake_addr = listener.local_addr().expect("fake addr").to_string();
-    const DEFECTS: u64 = 5;
+    const BATCH_DEFECTS: u64 = 5;
+    const DEFECTS: u64 = BATCH_DEFECTS + 4;
+    // Once every defect is served, the next connection is parked after
+    // its `HELLO` (the tailer waits on the reply) until the test has
+    // read the retry gauge, so no reconnect can add to it meanwhile.
+    let (parked_tx, parked_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
     let hostile = std::thread::spawn(move || {
         for defect in 0..DEFECTS {
             let Ok((mut stream, _)) = listener.accept() else {
@@ -559,7 +551,15 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
                     stream
                         .write_all(
                             b"OK REPL HELLO epoch=0 base=0 end=9 snap=0 role=primary \
-                              compact=off caps=bin\n",
+                              compact=off\n",
+                        )
+                        .ok();
+                } else if line.starts_with("REPL FETCH") && defect >= BATCH_DEFECTS {
+                    // Send the tailer back to bootstrap.
+                    stream
+                        .write_all(
+                            b"ERR REPL COMPACTED offset 0 predates base=9; \
+                              re-bootstrap from REPL SNAPSHOT\n",
                         )
                         .ok();
                 } else if line.starts_with("REPL FETCH") {
@@ -606,10 +606,64 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
                             stream.write_all(&frame).ok();
                         }
                     }
+                } else if line.starts_with("REPL SNAPSHOT") {
+                    let chunk = frame(b"sixteen byte img");
+                    match defect {
+                        5 => {
+                            // Flipped chunk CRC over an intact body.
+                            let mut bad = chunk.clone();
+                            bad[4] ^= 0x01;
+                            stream
+                                .write_all(b"OK REPL SNAPSHOT epoch=0 offset=9 bytes=16 chunks=1\n")
+                                .ok();
+                            stream.write_all(&bad).ok();
+                        }
+                        6 => {
+                            // A chunk header one byte over the 16 MiB
+                            // cap: refused unread, body never sent.
+                            stream
+                                .write_all(
+                                    b"OK REPL SNAPSHOT epoch=0 offset=9 bytes=33554432 chunks=1\n",
+                                )
+                                .ok();
+                            let mut head = (16u32 * 1024 * 1024 + 1).to_le_bytes().to_vec();
+                            head.extend_from_slice(&0u32.to_le_bytes());
+                            stream.write_all(&head).ok();
+                        }
+                        7 => {
+                            // One chunk fills the announced 16 bytes; the
+                            // next header overruns them and its body is
+                            // never sent.
+                            stream
+                                .write_all(
+                                    b"OK REPL SNAPSHOT epoch=0 offset=9 bytes=16 chunks=1000000\n",
+                                )
+                                .ok();
+                            stream.write_all(&chunk).ok();
+                            stream.write_all(&chunk[..8]).ok();
+                        }
+                        _ => {
+                            // Promise a 16-byte chunk, ship half, vanish.
+                            stream
+                                .write_all(b"OK REPL SNAPSHOT epoch=0 offset=9 bytes=16 chunks=1\n")
+                                .ok();
+                            stream.write_all(&chunk[..16]).ok();
+                            break;
+                        }
+                    }
                 } else {
                     break;
                 }
             }
+        }
+        let Ok((stream, _)) = listener.accept() else {
+            return;
+        };
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut line = String::new();
+        if reader.read_line(&mut line).unwrap_or(0) > 0 {
+            parked_tx.send(()).ok();
+            release_rx.recv().ok();
         }
     });
 
@@ -631,6 +685,8 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
         std::thread::sleep(Duration::from_millis(10));
     }
     let baseline = settled;
+    let retries_before =
+        stat_field(&reader.send("STATS").expect("STATS"), "retries=").expect("retries gauge");
     assert_eq!(
         reader
             .send(&format!("RETARGET {fake_addr}"))
@@ -640,28 +696,26 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
 
     // Every defect costs exactly one retry and nothing else: the cursor
     // never moves, the role never flips, no worker panics.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let stats = reader.send("STATS").expect("STATS");
-        if stat_field(&stats, "retries=").is_some_and(|retries| retries >= DEFECTS) {
-            assert_eq!(
-                stat_field(&stats, "end="),
-                Some(baseline),
-                "defective batches applied nothing: {stats}"
-            );
-            assert!(stats.contains("role=follower"), "{stats}");
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "tailer never counted the defects: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    parked_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the tailer worked through every defect");
+    let stats = reader.send("STATS").expect("STATS");
+    assert_eq!(
+        stat_field(&stats, "retries="),
+        Some(retries_before + DEFECTS),
+        "one retry per defect: {stats}"
+    );
+    assert_eq!(
+        stat_field(&stats, "end="),
+        Some(baseline),
+        "defective batches and snapshots applied nothing: {stats}"
+    );
+    assert!(stats.contains("role=follower"), "{stats}");
+    release_tx.send(()).expect("release the parked connection");
     hostile.join().expect("hostile upstream thread exits");
 
     // Retargeted at the real primary, the degraded tailer recovers and
-    // keeps tailing over the binary feed.
+    // keeps tailing.
     let real_addr = primary.addr().to_string();
     assert_eq!(
         reader
@@ -676,7 +730,10 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
     loop {
         let stats = reader.send("STATS").expect("STATS");
         if stat_field(&stats, "end=").is_some_and(|end| end >= target) {
-            assert!(stats.contains(" feed=bin bytes="), "{stats}");
+            assert!(
+                stat_field(&stats, "bytes=").is_some_and(|b| b > 0),
+                "{stats}"
+            );
             break;
         }
         assert!(

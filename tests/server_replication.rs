@@ -65,23 +65,6 @@ fn start_follower(
     Server::start_replicated(backend, config).expect("bind follower")
 }
 
-/// Starts a follower with an explicit feed mode and fetch batch size.
-fn start_follower_feed(
-    upstream: &str,
-    auto_compact: Option<u64>,
-    feed: FeedMode,
-    fetch_batch: u64,
-) -> Server {
-    let backend =
-        ReplicatedBackend::follower_with(upstream, auto_compact, feed, fetch_batch, |engine| {
-            engine
-        })
-        .expect("bootstrap");
-    let mut config = test_config();
-    config.auto_compact = auto_compact;
-    Server::start_replicated(backend, config).expect("bind follower")
-}
-
 /// `key=value` extraction from a `STATS` / `REPL` reply.
 fn stat_u64(line: &str, key: &str) -> u64 {
     line.split_whitespace()
@@ -460,108 +443,10 @@ fn retarget_repoints_a_survivor_at_the_promoted_primary() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Acceptance: the binary feed is an encoding, not a semantic: followers
-/// tailing the same primary over `--feed text`, `--feed bin` and the two
-/// mixed legs (bootstrap textual / tail binary, and vice versa) all end
-/// byte-identical to the primary, surface the negotiated encoding as the
-/// `feed=` gauge, and the binary leg pays measurably fewer wire bytes.
-#[test]
-fn feed_encodings_interoperate_byte_identically() {
-    let dir = temp_log_dir("feeds");
-    let (_, _, trace) = churn_session(90, Some(16));
-    let primary = start_primary(&dir, Some(16));
-    let primary_addr = primary.addr().to_string();
-
-    let text_leg = start_follower_feed(&primary_addr, Some(16), FeedMode::Text, 7);
-    let bin_leg = start_follower_feed(&primary_addr, Some(16), FeedMode::Bin, 64);
-    // Mixed legs: bootstrap over one encoding, then swap the preference
-    // so the tailer negotiates the other at its first handshake.
-    let mixed_to_bin = {
-        let backend = ReplicatedBackend::follower_with(
-            &primary_addr,
-            Some(16),
-            FeedMode::Text,
-            64,
-            |engine| engine,
-        )
-        .expect("bootstrap");
-        backend.set_feed(FeedMode::Bin);
-        let mut config = test_config();
-        config.auto_compact = Some(16);
-        Server::start_replicated(backend, config).expect("bind follower")
-    };
-    let mixed_to_text = {
-        let backend = ReplicatedBackend::follower_with(
-            &primary_addr,
-            Some(16),
-            FeedMode::Bin,
-            64,
-            |engine| engine,
-        )
-        .expect("bootstrap");
-        backend.set_feed(FeedMode::Text);
-        let mut config = test_config();
-        config.auto_compact = Some(16);
-        Server::start_replicated(backend, config).expect("bind follower")
-    };
-
-    let mut client = Client::connect(primary.addr()).expect("connect primary");
-    for line in &trace {
-        let reply = client.send(line).expect("trace line");
-        assert!(reply.starts_with("OK "), "`{line}` drew `{reply}`");
-    }
-    let primary_stats = client.send("STATS").expect("STATS");
-    let target = stat_u64(&primary_stats, "end=");
-    let primary_battery = battery_replies(&mut client);
-
-    let legs = [
-        (&text_leg, " feed=text bytes=", "text"),
-        (&bin_leg, " feed=bin bytes=", "bin"),
-        (&mixed_to_bin, " feed=bin bytes=", "mixed-to-bin"),
-        (&mixed_to_text, " feed=text bytes=", "mixed-to-text"),
-    ];
-    let mut wire_bytes = Vec::new();
-    for (server, gauge, tag) in legs {
-        let mut reader = Client::connect(server.addr()).expect("connect follower");
-        let stats = wait_for_offset(&mut reader, target);
-        assert_eq!(
-            stats_head(&primary_stats),
-            stats_head(&stats),
-            "{tag} leg diverged"
-        );
-        assert!(stats.contains(gauge), "{tag} leg gauge missing: {stats}");
-        let bytes = stat_u64(&stats, "bytes=");
-        assert!(bytes > 0, "{tag} leg counted no wire bytes: {stats}");
-        wire_bytes.push(bytes);
-        assert_eq!(
-            battery_replies(&mut reader),
-            primary_battery,
-            "{tag} leg battery diverged"
-        );
-    }
-    // Same workload, same bootstrap: the pure-binary leg must be
-    // decisively cheaper on the wire than the pure-textual one.
-    assert!(
-        wire_bytes[1] < wire_bytes[0],
-        "binary feed {} bytes vs textual {} bytes",
-        wire_bytes[1],
-        wire_bytes[0]
-    );
-
-    for server in [text_leg, bin_leg, mixed_to_bin, mixed_to_text] {
-        server.shutdown();
-        assert_eq!(server.join().recovered_panics, 0, "tailer never panics");
-    }
-    primary.shutdown();
-    assert_eq!(primary.join().recovered_panics, 0);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Acceptance: re-bootstrap over the binary snapshot path.  A follower
 /// whose cursor predates the primary's snapshot horizon is told
-/// `ERR REPL COMPACTED`; a binary-feed tailer then restarts itself from
-/// `REPL SNAPSHOT BIN` and catches up byte-identically (a textual leg
-/// rides the same sequence through the hex path).
+/// `ERR REPL COMPACTED`; the tailer then restarts itself from
+/// `REPL SNAPSHOT` and catches up byte-identically.
 #[test]
 fn a_stale_follower_rebootstraps_through_the_binary_snapshot() {
     let dir = temp_log_dir("rebootstrap");
@@ -575,17 +460,14 @@ fn a_stale_follower_rebootstraps_through_the_binary_snapshot() {
         assert!(reply.starts_with("OK INSERT "), "{reply}");
     }
 
-    // Bootstrap both followers at the primary's pre-compaction snapshot
-    // (offset 0) but do not serve them yet: their cursors stay put.
-    let bin_backend =
-        ReplicatedBackend::follower_with(&primary_addr, None, FeedMode::Bin, 64, |engine| engine)
-            .expect("bootstrap binary");
-    let text_backend =
-        ReplicatedBackend::follower_with(&primary_addr, None, FeedMode::Text, 64, |engine| engine)
-            .expect("bootstrap textual");
+    // Bootstrap the follower at the primary's pre-compaction snapshot
+    // (offset 0) but do not serve it yet: its cursor stays put.
+    let backend =
+        ReplicatedBackend::follower(&primary_addr, None, |engine| engine).expect("bootstrap");
+    let bootstrap_bytes = stat_u64(&backend.stats(), "bytes=");
 
     // Compact, then cold-restart the primary: the records behind the new
-    // snapshot are gone from its in-memory window, so the stale cursors
+    // snapshot are gone from its in-memory window, so the stale cursor
     // will draw `ERR REPL COMPACTED`.
     let reply = client.send("COMPACT").expect("COMPACT");
     assert!(reply.starts_with("OK COMPACTED "), "{reply}");
@@ -608,35 +490,33 @@ fn a_stale_follower_rebootstraps_through_the_binary_snapshot() {
     let primary_battery = battery_replies(&mut client);
     let new_addr = primary.addr().to_string();
 
-    // Serve the stale followers and point them at the restarted primary;
-    // each tailer re-bootstraps over its own snapshot encoding.
-    for (backend, gauge, tag) in [
-        (bin_backend, " feed=bin bytes=", "binary"),
-        (text_backend, " feed=text bytes=", "textual"),
-    ] {
-        let follower = Server::start_replicated(backend, test_config()).expect("bind follower");
-        let mut reader = Client::connect(follower.addr()).expect("connect follower");
-        assert_eq!(
-            reader
-                .send(&format!("RETARGET {new_addr}"))
-                .expect("RETARGET"),
-            format!("OK RETARGET {new_addr}")
-        );
-        let stats = wait_for_offset(&mut reader, target);
-        assert_eq!(
-            stat_u64(&stats, "base="),
-            base,
-            "{tag} leg re-bootstrapped from the post-compaction snapshot: {stats}"
-        );
-        assert!(stats.contains(gauge), "{tag} leg gauge missing: {stats}");
-        assert_eq!(
-            battery_replies(&mut reader),
-            primary_battery,
-            "{tag} leg battery diverged after re-bootstrap"
-        );
-        follower.shutdown();
-        assert_eq!(follower.join().recovered_panics, 0, "tailer never panics");
-    }
+    // Serve the stale follower and point it at the restarted primary;
+    // the tailer re-bootstraps from the post-compaction snapshot.
+    let follower = Server::start_replicated(backend, test_config()).expect("bind follower");
+    let mut reader = Client::connect(follower.addr()).expect("connect follower");
+    assert_eq!(
+        reader
+            .send(&format!("RETARGET {new_addr}"))
+            .expect("RETARGET"),
+        format!("OK RETARGET {new_addr}")
+    );
+    let stats = wait_for_offset(&mut reader, target);
+    assert_eq!(
+        stat_u64(&stats, "base="),
+        base,
+        "re-bootstrapped from the post-compaction snapshot: {stats}"
+    );
+    assert!(
+        stat_u64(&stats, "bytes=") > bootstrap_bytes,
+        "the re-bootstrap counted its feed bytes: {stats}"
+    );
+    assert_eq!(
+        battery_replies(&mut reader),
+        primary_battery,
+        "battery diverged after re-bootstrap"
+    );
+    follower.shutdown();
+    assert_eq!(follower.join().recovered_panics, 0, "tailer never panics");
 
     primary.shutdown();
     assert_eq!(primary.join().recovered_panics, 0);
